@@ -1,16 +1,17 @@
 """Time integrators and the timestep-verification study.
 
-Classical explicit RK4 and implicit backward Euler (Newton or fixed-point
-inner solves) applied to any velocity field, full-order or reduced. Wall
-times cover the time loop only, so that online-cost comparisons exclude
-setup. ``verify_timestep`` runs a self-convergence study over a ladder of
-step counts and picks the coarsest step that already shows the scheme's
-nominal order.
+``integrate`` advances any model with a velocity field, full-order or
+reduced, by classical explicit RK4 or implicit backward Euler (Newton or
+fixed-point inner solves). Every scheme is one step function driven by
+the same time loop. Wall times cover that loop only, so that online-cost
+comparisons exclude setup. ``verify_timestep`` runs a self-convergence
+study over a ladder of step counts and picks the coarsest step that
+already shows the scheme's nominal order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import time
 from typing import Callable, Optional, Sequence
 
@@ -69,58 +70,12 @@ class TrajectoryResult:
         return self.states[:, -1]
 
 
-def rk4_solve(velocity: Callable, x0, grid: TimeGrid, mu) -> TrajectoryResult:
-    """Classical 4th-order Runge-Kutta over the grid.
-
-    Raises DivergenceError (with the step index) as soon as any stage or
-    state goes non-finite.
-    """
-    times = grid.times()
-    h = grid.dt
-    x = np.array(x0, dtype=float)
-    states = np.empty((x.size, times.size))
-    states[:, 0] = x
-    tic = time.perf_counter()
-    for j in range(grid.num_steps):
-        t = times[j]
-        try:
-            k1 = velocity(x, t, mu)
-            k2 = velocity(x + 0.5 * h * k1, t + 0.5 * h, mu)
-            k3 = velocity(x + 0.5 * h * k2, t + 0.5 * h, mu)
-            k4 = velocity(x + h * k3, t + h, mu)
-        except EvaluationError as exc:
-            raise DivergenceError(f"non-finite stage at step {j}: {exc}", step=j)
-        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(x)):
-            raise DivergenceError(f"non-finite state at step {j}", step=j)
-        states[:, j + 1] = x
-    wall = time.perf_counter() - tic
-    return TrajectoryResult(times, states, wall, "rk4")
-
-
-def backward_euler_step(
-    velocity,
-    jacobian,
-    x_prev,
-    t_next: float,
-    h: float,
-    mu,
-    inner: str = "newton",
-    tol: float = 1e-10,
-    max_inner: int = 50,
-):
-    """One implicit step; returns (state, inner iterations used)."""
-    if inner == "newton":
-        if jacobian is None:
-            raise CapabilityError("newton inner solve requires a jacobian")
-        return _implicit_step_newton(
-            velocity, jacobian, np.asarray(x_prev, float), t_next, h, mu, tol, max_inner
-        )
-    if inner == "fixed_point":
-        return _implicit_step_fixed_point(
-            velocity, np.asarray(x_prev, float), t_next, h, mu, tol, max_inner
-        )
-    raise ValueError(f"unknown inner solver {inner!r}")
+def _rk4_step(velocity, x, t, h, mu):
+    k1 = velocity(x, t, mu)
+    k2 = velocity(x + 0.5 * h * k1, t + 0.5 * h, mu)
+    k3 = velocity(x + 0.5 * h * k2, t + 0.5 * h, mu)
+    k4 = velocity(x + h * k3, t + h, mu)
+    return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), 0
 
 
 def _implicit_step_newton(velocity, jacobian, x_prev, t_next, h, mu, tol, max_inner):
@@ -153,47 +108,23 @@ def _implicit_step_fixed_point(velocity, x_prev, t_next, h, mu, tol, max_inner):
     raise ConvergenceError(f"fixed point stalled, residual {delta:.3e}", residual=float(delta))
 
 
-def be_solve(
-    velocity: Callable,
-    jacobian: Optional[Callable],
-    x0,
-    grid: TimeGrid,
-    mu,
-    inner: str = "newton",
-    tol: float = 1e-10,
-    max_inner: int = 50,
-) -> TrajectoryResult:
-    """Backward Euler: solve y - x_j - h*velocity(y, t_{j+1}, mu) = 0 per step.
+def _solve(step: Callable, x0, grid: TimeGrid):
+    """Advance x0 over the grid with step(x, t_j, t_{j+1}) -> (x, inner its).
 
-    ``inner`` picks the root solver. Newton updates y <- y - (I - h*J)^{-1} r
-    and needs ``jacobian``; fixed-point iterates y <- x_j + h*velocity(y).
-    Both start at x_j and stop once the update satisfies
-    ||dy|| <= tol*(1 + ||y||). Exceeding ``max_inner`` raises
-    ConvergenceError with the step index and last residual.
+    Returns (times, states, wall time of the loop, total inner iterations).
+    A non-finite stage or state raises DivergenceError and a stalled inner
+    solve raises ConvergenceError, both carrying the step index.
     """
-    if inner not in ("newton", "fixed_point"):
-        raise ValueError(f"unknown inner solver {inner!r}")
-    if inner == "newton" and jacobian is None:
-        raise CapabilityError("newton inner solve requires a jacobian")
     times = grid.times()
-    h = grid.dt
     x = np.array(x0, dtype=float)
     states = np.empty((x.size, times.size))
     states[:, 0] = x
     n_inner = 0
     tic = time.perf_counter()
     for j in range(grid.num_steps):
-        t_next = times[j + 1]
         try:
-            if inner == "newton":
-                x, its = _implicit_step_newton(
-                    velocity, jacobian, x, t_next, h, mu, tol, max_inner
-                )
-            else:
-                x, its = _implicit_step_fixed_point(
-                    velocity, x, t_next, h, mu, tol, max_inner
-                )
-        except ConvergenceError as exc:  # annotate with the step index
+            x, its = step(x, times[j], times[j + 1])
+        except ConvergenceError as exc:
             raise ConvergenceError(f"step {j}: {exc}", step=j, residual=exc.residual)
         except EvaluationError as exc:
             raise DivergenceError(f"non-finite state at step {j}: {exc}", step=j)
@@ -201,20 +132,39 @@ def be_solve(
         if not np.all(np.isfinite(x)):
             raise DivergenceError(f"non-finite state at step {j}", step=j)
         states[:, j + 1] = x
-    wall = time.perf_counter() - tic
-    return TrajectoryResult(times, states, wall, "backward_euler", inner, n_inner)
+    return times, states, time.perf_counter() - tic, n_inner
 
 
 def integrate(model, grid: TimeGrid, mu, spec: IntegratorSpec) -> TrajectoryResult:
-    """Solve a model (anything with velocity/initial_state) per the spec."""
-    x0 = model.initial_state(mu)
+    """Solve a model (anything with velocity/initial_state) per the spec.
+
+    RK4 is the classical four-stage scheme. Backward Euler solves
+    y - x_j - h*velocity(y, t_{j+1}, mu) = 0 per step, starting at x_j:
+    Newton updates y <- y - (I - h*J)^{-1} r with the model's ``jacobian``;
+    fixed point iterates y <- x_j + h*velocity(y). Both stop once the
+    update satisfies ||dy|| <= tol*(1 + ||y||); exceeding ``max_inner``
+    raises ConvergenceError with the step index and last residual.
+    """
+    velocity, h = model.velocity, grid.dt
     if spec.scheme == "rk4":
-        return rk4_solve(model.velocity, x0, grid, mu)
-    jac = getattr(model, "jacobian", None) if spec.inner == "newton" else None
-    return be_solve(
-        model.velocity, jac, x0, grid, mu,
-        inner=spec.inner, tol=spec.tol, max_inner=spec.max_inner,
-    )
+        def step(x, t, t_next):
+            return _rk4_step(velocity, x, t, h, mu)
+    elif spec.inner == "newton":
+        jacobian = getattr(model, "jacobian", None)
+        if jacobian is None:
+            raise CapabilityError("newton inner solve requires a jacobian")
+
+        def step(x, t, t_next):
+            return _implicit_step_newton(
+                velocity, jacobian, x, t_next, h, mu, spec.tol, spec.max_inner
+            )
+    else:
+        def step(x, t, t_next):
+            return _implicit_step_fixed_point(
+                velocity, x, t_next, h, mu, spec.tol, spec.max_inner
+            )
+    times, states, wall, n_inner = _solve(step, model.initial_state(mu), grid)
+    return TrajectoryResult(times, states, wall, spec.scheme, spec.inner, n_inner)
 
 
 @dataclass

@@ -118,7 +118,6 @@ class ExperimentConfig:
     n_training: int = DEFAULT_N_TRAINING
     n_validation: int = DEFAULT_N_VALIDATION
     candidate_rounds: int = DEFAULT_CANDIDATE_ROUNDS
-    training_mode: str = "velocity"
     schemes: Tuple[str, ...] = ("rk4", "backward_euler")
     step_counts: Tuple[int, ...] = DEFAULT_STEP_COUNTS
     nt_override: Dict[str, int] = field(default_factory=dict)
@@ -144,8 +143,6 @@ class ExperimentConfig:
                 name: parse_model_line(line)
                 for name, line in DEFAULT_MODELS[self.problem].items()
             }
-        if self.training_mode not in ("velocity", "flowmap"):
-            raise ValueError("training_mode must be velocity or flowmap")
 
 
 def default_config(problem: str, out_dir="runs", seed: int = 0) -> ExperimentConfig:
@@ -188,7 +185,6 @@ def load_config(path, overrides: Optional[dict] = None) -> ExperimentConfig:
         kwargs["n_training"] = s.getint("n_training", DEFAULT_N_TRAINING)
         kwargs["n_validation"] = s.getint("n_validation", DEFAULT_N_VALIDATION)
         kwargs["candidate_rounds"] = s.getint("candidate_rounds", DEFAULT_CANDIDATE_ROUNDS)
-        kwargs["training_mode"] = s.get("mode", "velocity")
     if parser.has_section("integration"):
         g = parser["integration"]
         kwargs["schemes"] = tuple(g.get("schemes", "rk4 backward_euler").split())
@@ -287,9 +283,11 @@ class Artifacts:
 
 
 def _selected_counts(cfg: ExperimentConfig, art: Artifacts, needed_by: str) -> Dict[str, int]:
+    """Step counts of cfg.schemes plus backward_euler, which the snapshot
+    solve always uses: pinned in the config or selected by verify-dt."""
     counts: Dict[str, int] = {}
     manifest = art.manifest()
-    for scheme in cfg.schemes:
+    for scheme in dict.fromkeys((*cfg.schemes, "backward_euler")):
         if scheme in cfg.nt_override:
             counts[scheme] = cfg.nt_override[scheme]
             continue
@@ -300,19 +298,6 @@ def _selected_counts(cfg: ExperimentConfig, art: Artifacts, needed_by: str) -> D
                 f"run the verify-dt stage first or set nt_{scheme} in the config"
             )
         counts[scheme] = int(manifest[key])
-    if "backward_euler" not in counts:
-        # snapshot generation always uses the implicit reference solver
-        if "backward_euler" in cfg.nt_override:
-            counts["backward_euler"] = cfg.nt_override["backward_euler"]
-        else:
-            key = "selected_nt_backward_euler"
-            manifest = art.manifest()
-            if key not in manifest:
-                raise StageError(
-                    f"stage {needed_by} needs a backward_euler step count for snapshots; "
-                    "run verify-dt with backward_euler or set nt_backward_euler"
-                )
-            counts["backward_euler"] = int(manifest[key])
     return counts
 
 
@@ -359,7 +344,7 @@ def stage_fom_solve(cfg: ExperimentConfig, art: Artifacts) -> None:
     system = get_problem(cfg.problem)
     counts = _selected_counts(cfg, art, "fom-solve")
     nt_be = counts["backward_euler"]
-    be_spec = IntegratorSpec("backward_euler", "newton", cfg.newton_tol, cfg.max_inner)
+    be_spec = _integrator_for(cfg, "backward_euler", True)
 
     corners = system.domain.corners()
     for i, mu in enumerate(corners):
@@ -373,11 +358,7 @@ def stage_fom_solve(cfg: ExperimentConfig, art: Artifacts) -> None:
 
     mu = np.array(cfg.test_mu)
     for scheme in cfg.schemes:
-        spec = (
-            IntegratorSpec("rk4")
-            if scheme == "rk4"
-            else be_spec
-        )
+        spec = _integrator_for(cfg, scheme, True)
         result = integrate(system, system.time_grid(counts[scheme]), mu, spec)
         art.save_trajectory(f"fom_{scheme}", result)
 
@@ -441,11 +422,6 @@ def stage_sample(cfg: ExperimentConfig, art: Artifacts) -> None:
     state_lo, state_hi = reduced_state_box(basis, np.hstack(blocks))
     lows, highs = joint_box(state_lo, state_hi, system.t_final, system.domain)
 
-    dt = None
-    if cfg.training_mode == "flowmap":
-        counts = _selected_counts(cfg, art, "sample")
-        dt = system.t_final / counts["backward_euler"]
-
     for tag, count, seed in (
         ("train", cfg.n_training, cfg.seed),
         ("valid", cfg.n_validation, cfg.seed + 1),
@@ -453,7 +429,7 @@ def stage_sample(cfg: ExperimentConfig, art: Artifacts) -> None:
         points = lhs_maximin(
             LhsConfig(count, lows, highs, cfg.candidate_rounds, seed)
         )
-        data = build_training_set(rom, points, lows, highs, cfg.training_mode, dt)
+        data = build_training_set(rom, points, lows, highs)
         data.save(
             art.path("training", f"{tag}.csv"), art.path("training", f"{tag}.meta")
         )
@@ -461,7 +437,6 @@ def stage_sample(cfg: ExperimentConfig, art: Artifacts) -> None:
         n_training=cfg.n_training,
         n_validation=cfg.n_validation,
         sampling_seed=cfg.seed,
-        training_mode=cfg.training_mode,
     )
 
 
@@ -500,11 +475,6 @@ def stage_train(cfg: ExperimentConfig, art: Artifacts) -> None:
 
 
 def stage_rom_solve(cfg: ExperimentConfig, art: Artifacts) -> None:
-    if cfg.training_mode != "velocity":
-        raise StageError(
-            "stage rom-solve integrates velocity surrogates; flow-map models "
-            "are rolled out through the surrogate module API instead"
-        )
     system = get_problem(cfg.problem)
     basis = _load_basis(art, "rom-solve")
     counts = _selected_counts(cfg, art, "rom-solve")

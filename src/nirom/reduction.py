@@ -8,7 +8,7 @@ columns by SVD with either a fixed dimension or an energy criterion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 import warnings
 
@@ -16,8 +16,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import io
-from .core import DynamicalSystem, TimeGrid
-from .integration import IntegratorSpec, TrajectoryResult, integrate
+from .core import DynamicalSystem
+from .integration import TrajectoryResult
 
 
 @dataclass
@@ -201,10 +201,3 @@ class GalerkinROM(DynamicalSystem):
         if sp.issparse(prod):
             prod = prod.toarray()
         return self.basis.V.T @ prod
-
-
-def galerkin_solve(
-    rom: GalerkinROM, grid: TimeGrid, mu, spec: IntegratorSpec
-) -> TrajectoryResult:
-    """Integrate the projected model; states are reduced coordinates."""
-    return integrate(rom, grid, mu, spec)

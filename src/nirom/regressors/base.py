@@ -11,7 +11,6 @@ derivatives with respect to the raw inputs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -20,7 +19,7 @@ from ..core import CapabilityError
 
 FAMILY_DEFAULTS = {
     "knn": {"n_neighbors": 6},
-    "sindy": {"degree": 2, "threshold": 1e-3, "alpha": 0.0},
+    "sindy": {"degree": 2, "threshold": 1e-3},
     "vkoga": {"gamma": 1.0, "max_centers": 500},
     "forest": {"n_trees": 15, "max_depth": 0, "min_leaf": 1, "n_split_features": 0},
     "boosting": {"n_learners": 40, "learning_rate": 0.1, "max_depth": 3},

@@ -4,9 +4,7 @@ Library columns are {1, z_k, z_k z_l (k <= l)} over box-scaled inputs, up
 to the configured degree. Each output component gets its own coefficient
 vector, sparsified by sequential threshold least squares: solve, zero
 every coefficient below the threshold, re-solve on the survivors, repeat
-until the support is stable. The ``alpha`` hyperparameter slot is kept
-for interface compatibility with penalized sparsifiers but is unused by
-the threshold loop.
+until the support is stable.
 """
 
 from __future__ import annotations

@@ -3,21 +3,17 @@
 Training inputs live in the joint (xhat, t, mu) box: reduced-state bounds
 come from the corner-run snapshots (inflated 10% per side), time spans
 [0, T] and the parameter block is the problem's admissible box. Targets
-are reduced velocities of the projected model, or one implicit step of it
-in flow-map mode.
+are reduced velocities of the projected model.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
-
 import numpy as np
 from scipy.spatial.distance import pdist
 
 from . import io
 from .core import ParameterDomain
-from .integration import backward_euler_step
 from .reduction import GalerkinROM, ReducedBasis
 
 DEFAULT_N_TRAINING = 1000
@@ -118,7 +114,6 @@ class TrainingSet:
     targets: np.ndarray
     n_state: int
     n_params: int
-    mode: str
     lows: np.ndarray
     highs: np.ndarray
 
@@ -129,8 +124,6 @@ class TrainingSet:
             raise ValueError("inputs and targets need equal row counts")
         if self.inputs.shape[1] != self.n_state + 1 + self.n_params:
             raise ValueError("input width must be n_state + 1 + n_params")
-        if self.mode not in ("velocity", "flowmap"):
-            raise ValueError(f"unknown mode {self.mode!r}")
         inside = (self.inputs >= self.lows - 1e-12) & (self.inputs <= self.highs + 1e-12)
         if not np.all(inside):
             raise ValueError("some inputs fall outside the declared box")
@@ -142,7 +135,7 @@ class TrainingSet:
     def subset(self, rows: int) -> "TrainingSet":
         return TrainingSet(
             self.inputs[:rows], self.targets[:rows],
-            self.n_state, self.n_params, self.mode, self.lows, self.highs,
+            self.n_state, self.n_params, self.lows, self.highs,
         )
 
     def column_names(self):
@@ -166,7 +159,6 @@ class TrainingSet:
             {
                 "n_state": self.n_state,
                 "n_params": self.n_params,
-                "mode": self.mode,
                 "lows": " ".join(io.format_double(v) for v in self.lows),
                 "highs": " ".join(io.format_double(v) for v in self.highs),
             },
@@ -185,7 +177,6 @@ class TrainingSet:
             table[:, d:],
             n_state,
             n_params,
-            meta["mode"],
             np.array(meta["lows"].split(), dtype=float),
             np.array(meta["highs"].split(), dtype=float),
         )
@@ -202,30 +193,15 @@ def build_training_set(
     points: np.ndarray,
     lows,
     highs,
-    mode: str = "velocity",
-    dt: Optional[float] = None,
 ) -> TrainingSet:
-    """Evaluate regression targets for each joint input row.
-
-    Velocity mode records the projected velocity at (xhat, t, mu).
-    Flow-map mode records the state after one backward-Euler step of size
-    ``dt`` started at (xhat, t), i.e. the discrete map the time stepper
-    would apply.
-    """
+    """Record the projected velocity at each joint (xhat, t, mu) input row."""
     points = np.asarray(points, dtype=float)
     n = rom.dim
     p = rom.domain.dim
     if points.ndim != 2 or points.shape[1] != n + 1 + p:
         raise ValueError("points must be rows over the joint (xhat, t, mu) box")
-    if mode == "flowmap" and (dt is None or dt <= 0):
-        raise ValueError("flow-map mode needs dt > 0")
     targets = np.empty((points.shape[0], n))
     for i, row in enumerate(points):
         xhat, t, mu = split_input(row, n)
-        if mode == "velocity":
-            targets[i] = rom.velocity(xhat, t, mu)
-        else:
-            targets[i], _ = backward_euler_step(
-                rom.velocity, rom.jacobian, xhat, t + dt, dt, mu
-            )
-    return TrainingSet(points, targets, n, p, mode, np.asarray(lows), np.asarray(highs))
+        targets[i] = rom.velocity(xhat, t, mu)
+    return TrainingSet(points, targets, n, p, np.asarray(lows), np.asarray(highs))

@@ -1,7 +1,7 @@
 """Regression surrogates packaged as reduced dynamical systems.
 
 ``RegressionROM`` makes a fitted regressor interchangeable with the
-projected model for the integrators: its velocity is the regressor's
+projected model for ``integrate``: its velocity is the regressor's
 prediction at (xhat, t, mu), its Jacobian (when the family has one) is
 the state block of the regressor's full input Jacobian. The adapter also
 counts how often the integrator queries the model outside its training
@@ -15,7 +15,6 @@ from typing import Optional
 import numpy as np
 
 from .core import DynamicalSystem
-from .integration import TimeGrid, TrajectoryResult, backward_euler_step
 from .reduction import ReducedBasis
 from .regressors.base import FittedRegressor
 
@@ -70,36 +69,3 @@ class RegressionROM(DynamicalSystem):
     def reset_diagnostics(self) -> None:
         self.n_evals = 0
         self.n_outside = 0
-
-
-def iterate_flow_map(
-    system: DynamicalSystem,
-    basis: ReducedBasis,
-    model: FittedRegressor,
-    grid: TimeGrid,
-    mu,
-) -> TrajectoryResult:
-    """Roll a fitted flow map forward: xhat_{j+1} = model(xhat_j, t_j, mu).
-
-    Counterpart of the implicit one-step targets produced in flow-map
-    training mode; the model replaces the inner solve entirely.
-    """
-    import time as _time
-
-    times = grid.times()
-    x = basis.project(system.initial_state(mu))
-    states = np.empty((x.size, times.size))
-    states[:, 0] = x
-    tic = _time.perf_counter()
-    for j in range(grid.num_steps):
-        z = np.concatenate([x, [times[j]], np.asarray(mu, float)])
-        x = model.predict(z)
-        states[:, j + 1] = x
-    wall = _time.perf_counter() - tic
-    return TrajectoryResult(times, states, wall, "flow_map")
-
-
-def reference_flow_map_step(rom, xhat, t, dt, mu):
-    """One exact implicit step of the projected model, for comparison."""
-    y, _ = backward_euler_step(rom.velocity, rom.jacobian, xhat, t + dt, dt, mu)
-    return y

@@ -19,7 +19,7 @@ from nirom.analysis import (
 )
 from nirom.integration import IntegratorSpec, TrajectoryResult, integrate
 from nirom.io import read_csv, read_keyvalues
-from nirom.reduction import GalerkinROM, ReducedBasis, galerkin_solve
+from nirom.reduction import GalerkinROM, ReducedBasis
 from nirom.core import TimeGrid
 
 from conftest import DiagonalDecay
@@ -241,7 +241,7 @@ class TestEvaluateBound:
     def test_bound_holds_for_the_projected_model(self):
         basis = ReducedBasis(np.array([[1.0], [0.0]]), np.zeros(2), np.ones(1))
         rom = GalerkinROM(self.sys, basis)
-        surrogate = galerkin_solve(rom, self.grid, self.mu, IntegratorSpec("rk4"))
+        surrogate = integrate(rom, self.grid, self.mu, IntegratorSpec("rk4"))
         report = evaluate_bound(self.sys, self.mu, self.fom, surrogate, basis, None)
         assert report.regression_sup == 0.0
         # dropping the second coordinate leaves its full value as defect
@@ -253,7 +253,7 @@ class TestEvaluateBound:
     def test_regression_constant_is_the_worst_validation_row(self):
         basis = ReducedBasis(np.eye(2), np.zeros(2), np.ones(2))
         rom = GalerkinROM(self.sys, basis)
-        surrogate = galerkin_solve(rom, self.grid, self.mu, IntegratorSpec("rk4"))
+        surrogate = integrate(rom, self.grid, self.mu, IntegratorSpec("rk4"))
 
         class Offset:
             def predict_many(self, Z):
@@ -278,7 +278,7 @@ class TestEvaluateBound:
     def test_report_keyvalues_schema(self, tmp_path):
         basis = ReducedBasis(np.eye(2), np.zeros(2), np.ones(2))
         rom = GalerkinROM(self.sys, basis)
-        surrogate = galerkin_solve(rom, self.grid, self.mu, IntegratorSpec("rk4"))
+        surrogate = integrate(rom, self.grid, self.mu, IntegratorSpec("rk4"))
         report = evaluate_bound(self.sys, self.mu, self.fom, surrogate, basis, None)
         path = tmp_path / "bound.txt"
         report.to_keyvalues(path)

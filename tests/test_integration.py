@@ -1,5 +1,6 @@
 """Time steppers: single-step identities, inner solvers, convergence ladders."""
 
+from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
@@ -12,22 +13,28 @@ from nirom.core import (
 from nirom.integration import (
     DEFAULT_STEP_COUNTS,
     IntegratorSpec,
-    backward_euler_step,
-    be_solve,
     integrate,
-    rk4_solve,
     verify_timestep,
 )
 
 from conftest import DiagonalDecay
 
+MU = np.array([1.0])
+RK4 = IntegratorSpec("rk4")
+NEWTON = IntegratorSpec("backward_euler", "newton")
 
-def linear_velocity(lam):
-    return lambda x, t, mu: lam * np.asarray(x, float)
+
+def decay(rate, t_final=1.0):
+    """dx/dt = lam*x with lam = -rate at MU, x(0) = 1."""
+    return DiagonalDecay(rates=(rate,), t_final=t_final)
 
 
-def linear_jacobian(lam, dim=1):
-    return lambda x, t, mu: lam * np.eye(dim)
+class NoJacobian:
+    """A duck-typed model that offers only a velocity and an initial state."""
+
+    def __init__(self, system):
+        self.velocity = system.velocity
+        self.initial_state = system.initial_state
 
 
 class TestIntegratorSpec:
@@ -38,8 +45,6 @@ class TestIntegratorSpec:
     def test_backward_euler_needs_inner(self):
         with pytest.raises(ValueError, match="newton or fixed_point"):
             IntegratorSpec("backward_euler")
-        with pytest.raises(ValueError, match="newton or fixed_point"):
-            IntegratorSpec("backward_euler", inner="secant")
 
     def test_unknown_scheme(self):
         with pytest.raises(ValueError, match="unknown scheme"):
@@ -47,116 +52,87 @@ class TestIntegratorSpec:
 
 
 class TestRk4SingleStep:
-    def test_linear_step_is_fourth_degree_taylor(self):
+    @settings(max_examples=50, deadline=None)
+    @given(rate=st.floats(-25.0, 25.0), h=st.floats(0.01, 0.1))
+    def test_linear_step_is_fourth_degree_taylor(self, rate, h):
         # one RK4 step on dx/dt = lam*x multiplies the state by the
-        # degree-4 Taylor polynomial of exp(lam*h), exactly
-        lam, h = -1.0, 0.1
-        grid = TimeGrid(0.0, h, 1)
-        result = rk4_solve(linear_velocity(lam), np.array([1.0]), grid, None)
-        z = lam * h
+        # degree-4 Taylor polynomial of exp(lam*h), to rounding
+        sys = decay(rate, t_final=h)
+        result = integrate(sys, sys.time_grid(1), MU, RK4)
+        z = -rate * h
         taylor = 1.0 + z + z**2 / 2 + z**3 / 6 + z**4 / 24
-        assert result.states[0, 1] == pytest.approx(taylor, abs=1e-15)
-        assert result.states[0, 1] == pytest.approx(0.9048375, abs=1e-12)
+        assert result.states[0, 1] == pytest.approx(taylor, rel=1e-14, abs=1e-15)
 
     def test_fourth_order_on_smooth_problem(self):
         sys = DiagonalDecay(rates=(1.0, 2.0))
-        mu = np.array([1.0])
         errs = []
         for nt in (20, 40):
-            r = rk4_solve(sys.velocity, sys.initial_state(mu), sys.time_grid(nt), mu)
-            errs.append(np.linalg.norm(r.final_state - sys.exact(1.0, mu)))
+            r = integrate(sys, sys.time_grid(nt), MU, RK4)
+            errs.append(np.linalg.norm(r.final_state - sys.exact(1.0, MU)))
         assert np.log2(errs[0] / errs[1]) == pytest.approx(4.0, abs=0.1)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_raises_with_step_index(self):
         # stiff decay far outside the stability region overflows
         with pytest.raises(DivergenceError) as info:
-            rk4_solve(
-                linear_velocity(-3000.0), np.array([1.0]), TimeGrid(0.0, 1.0, 100), None
-            )
+            integrate(decay(3000.0), TimeGrid(0.0, 1.0, 100), MU, RK4)
         assert info.value.step >= 0
 
 
 class TestBackwardEulerStep:
-    def test_linear_decay_closed_form(self):
+    @settings(max_examples=50, deadline=None)
+    @given(rate=st.floats(-5.0, 500.0), h=st.floats(0.01, 0.1))
+    def test_linear_decay_closed_form(self, rate, h):
         # y = x + h*lam*y  =>  y = x/(1 - h*lam)
-        lam, h = -1.0, 0.1
-        y, its = backward_euler_step(
-            linear_velocity(lam), linear_jacobian(lam), np.array([1.0]), h, h, None
-        )
-        assert y[0] == pytest.approx(1.0 / 1.1, rel=1e-12)
-        assert its >= 1
+        sys = decay(rate, t_final=h)
+        r = integrate(sys, sys.time_grid(1), MU, NEWTON)
+        assert r.states[0, 1] == pytest.approx(1.0 / (1.0 + rate * h), rel=1e-12)
+        assert r.n_inner_total >= 1
 
     def test_fixed_point_matches_newton_on_contractive_step(self):
-        lam, h = -0.8, 0.05
-        x0 = np.array([1.0, 2.0])
-        yn, _ = backward_euler_step(
-            linear_velocity(lam), linear_jacobian(lam, 2), x0, h, h, None, "newton", 1e-12
+        sys = DiagonalDecay(rates=(0.8, 0.8), t_final=0.05)
+        grid = sys.time_grid(1)
+        yn = integrate(sys, grid, MU, IntegratorSpec("backward_euler", "newton", 1e-12))
+        yf = integrate(
+            sys, grid, MU, IntegratorSpec("backward_euler", "fixed_point", 1e-12)
         )
-        yf, _ = backward_euler_step(
-            linear_velocity(lam), None, x0, h, h, None, "fixed_point", 1e-12
-        )
-        assert np.abs(yn - yf).max() < 1e-9
+        assert np.abs(yn.final_state - yf.final_state).max() < 1e-9
 
     def test_newton_without_jacobian_is_a_capability_error(self):
         with pytest.raises(CapabilityError, match="jacobian"):
-            backward_euler_step(
-                linear_velocity(-1.0), None, np.array([1.0]), 0.1, 0.1, None, "newton"
-            )
+            integrate(NoJacobian(decay(1.0)), TimeGrid(0.0, 0.1, 1), MU, NEWTON)
 
     def test_unknown_inner_rejected(self):
-        with pytest.raises(ValueError, match="unknown inner"):
-            backward_euler_step(
-                linear_velocity(-1.0), None, np.array([1.0]), 0.1, 0.1, None, "bisect"
-            )
+        with pytest.raises(ValueError, match="newton or fixed_point"):
+            IntegratorSpec("backward_euler", inner="secant")
 
 
 class TestBeSolve:
     def test_trajectory_matches_geometric_decay(self):
-        lam, nt = -1.0, 10
-        r = be_solve(
-            linear_velocity(lam),
-            linear_jacobian(lam),
-            np.array([1.0]),
-            TimeGrid(0.0, 1.0, nt),
-            None,
-        )
-        expected = (1.0 / (1.0 - lam * 0.1)) ** np.arange(nt + 1)
+        nt = 10
+        r = integrate(decay(1.0), TimeGrid(0.0, 1.0, nt), MU, NEWTON)
+        expected = (1.0 / 1.1) ** np.arange(nt + 1)
         assert np.abs(r.states[0] - expected).max() < 1e-10
         assert r.scheme == "backward_euler" and r.inner == "newton"
 
     def test_newton_converges_in_two_inner_iterations_on_linear_problems(self):
-        r = be_solve(
-            linear_velocity(-1.0),
-            linear_jacobian(-1.0),
-            np.array([1.0]),
-            TimeGrid(0.0, 1.0, 5),
-            None,
-        )
+        r = integrate(decay(1.0), TimeGrid(0.0, 1.0, 5), MU, NEWTON)
         assert r.n_inner_total == 2 * 5
 
     def test_fixed_point_diverges_past_contraction_limit(self):
         # the map y <- x + h*lam*y contracts only when |h*lam| < 1
         with pytest.raises(ConvergenceError) as info:
-            be_solve(
-                linear_velocity(-30.0),
-                None,
-                np.array([1.0]),
+            integrate(
+                decay(30.0),
                 TimeGrid(0.0, 1.0, 10),
-                None,
-                inner="fixed_point",
+                MU,
+                IntegratorSpec("backward_euler", "fixed_point"),
             )
         assert "step 0" in str(info.value)
         assert info.value.step == 0
 
     def test_newton_handles_stiff_steps(self):
-        r = be_solve(
-            linear_velocity(-30.0),
-            linear_jacobian(-30.0),
-            np.array([1.0]),
-            TimeGrid(0.0, 1.0, 10),
-            None,
-        )
+        r = integrate(decay(30.0), TimeGrid(0.0, 1.0, 10), MU, NEWTON)
         assert np.all(np.isfinite(r.states))
 
 

@@ -109,10 +109,6 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match="scheme"):
             tiny_config(tmp_path, schemes=("leapfrog",))
 
-    def test_training_mode_checked(self, tmp_path):
-        with pytest.raises(ValueError, match="training_mode"):
-            tiny_config(tmp_path, training_mode="koopman")
-
     def test_default_models_depend_on_the_problem(self, tmp_path):
         burgers = ExperimentConfig("burgers", (1.8, 0.0232), tmp_path)
         convdiff = ExperimentConfig("convdiff", (9.5, 9.5), tmp_path)
@@ -243,9 +239,11 @@ class TestStageHelpers:
         assert counts == {"rk4": 400, "backward_euler": 200}
 
     def test_missing_selection_names_verify_dt(self, tmp_path):
-        cfg = tiny_config(tmp_path, nt_override={})
-        with pytest.raises(StageError, match="verify-dt"):
-            _selected_counts(cfg, Artifacts(tmp_path), "fom-solve")
+        # rk4 unpinned, then only the snapshot solver's backward_euler
+        for pinned, missing in (({}, "rk4"), ({"rk4": 400}, "backward_euler")):
+            cfg = tiny_config(tmp_path, nt_override=pinned)
+            with pytest.raises(StageError, match=f"verify-dt.*nt_{missing}"):
+                _selected_counts(cfg, Artifacts(tmp_path), "fom-solve")
 
     def test_integrator_choice_follows_differentiability(self, tmp_path):
         cfg = tiny_config(tmp_path, newton_tol=1e-7, fixed_point_tol=0.02)
@@ -271,11 +269,6 @@ class TestStageHelpers:
         cfg = tiny_config(tmp_path, nt_override={"rk4": 2, "backward_euler": 2})
         with pytest.raises(StageError, match="stage fom-solve"):
             run_stage(cfg, "fom-solve")
-
-    def test_flowmap_mode_blocks_rom_solve(self, tmp_path):
-        cfg = tiny_config(tmp_path, training_mode="flowmap")
-        with pytest.raises(StageError, match="flow-map"):
-            run_stage(cfg, "rom-solve")
 
 
 class TestFullPipeline:

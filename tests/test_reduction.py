@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 
 from nirom.core import TimeGrid, fd_jacobian
-from nirom.integration import IntegratorSpec, integrate, rk4_solve
+from nirom.integration import IntegratorSpec, integrate
 from nirom.problems import get_problem
 from nirom.reduction import (
     GalerkinROM,
     ReducedBasis,
     SnapshotMatrix,
-    galerkin_solve,
     pod_fit,
 )
 
@@ -46,11 +45,8 @@ class TestSnapshotMatrix:
 
     def test_from_trajectory_tiles_parameters(self, diagonal_decay):
         mu = np.array([1.5])
-        result = rk4_solve(
-            diagonal_decay.velocity,
-            diagonal_decay.initial_state(mu),
-            diagonal_decay.time_grid(10),
-            mu,
+        result = integrate(
+            diagonal_decay, diagonal_decay.time_grid(10), mu, IntegratorSpec("rk4")
         )
         snaps = SnapshotMatrix.from_trajectory(result, mu, "run0")
         assert snaps.n_columns == 11
@@ -229,7 +225,7 @@ class TestGalerkinROM:
         grid = TimeGrid(0.0, 1.0, 50)
         spec = IntegratorSpec("rk4")
         full = integrate(diagonal_decay, grid, mu, spec)
-        red = galerkin_solve(rom, grid, mu, spec)
+        red = integrate(rom, grid, mu, spec)
         assert np.allclose(red.states, full.states, atol=1e-13)
 
     def test_linear_system_reduces_to_projected_operator(self):
@@ -255,8 +251,7 @@ class TestGalerkinROM:
     def test_sparse_jacobian_projects_to_dense_reduced_matrix(self):
         sys = get_problem("burgers")
         mu = np.array([1.5, 0.02])
-        x0 = sys.initial_state(mu)
-        result = rk4_solve(sys.velocity, x0, TimeGrid(0.0, 1.0, 50), mu)
+        result = integrate(sys, TimeGrid(0.0, 1.0, 50), mu, IntegratorSpec("rk4"))
         snaps = SnapshotMatrix.from_trajectory(result, mu, "r")
         basis = pod_fit(snaps, n=3)
         rom = GalerkinROM(sys, basis)

@@ -397,7 +397,7 @@ class TestFitEntryPoints:
     def test_fit_uses_the_dataset_box(self):
         inputs = np.array([[0.0, 0.0], [1.0, 0.5], [2.0, 1.0]])
         targets = np.array([[0.0], [1.0], [2.0]])
-        ts = TrainingSet(inputs, targets, 1, 0, "velocity",
+        ts = TrainingSet(inputs, targets, 1, 0,
                          np.array([0.0, 0.0]), np.array([2.0, 1.0]))
         model = fit(RegressorSpec("knn", {"n_neighbors": 1}), ts)
         assert np.array_equal(model.input_lows, ts.lows)

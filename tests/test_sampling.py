@@ -119,7 +119,6 @@ class TestTrainingSet:
             targets=np.array([[1.0], [2.0]]),
             n_state=1,
             n_params=1,
-            mode="velocity",
             lows=np.array([-1.0, 0.0, 0.5]),
             highs=np.array([2.0, 1.0, 2.0]),
         )
@@ -133,10 +132,6 @@ class TestTrainingSet:
     def test_width_mismatch(self):
         with pytest.raises(ValueError, match="width"):
             self.make(n_state=2, lows=np.zeros(4), highs=np.ones(4))
-
-    def test_unknown_mode(self):
-        with pytest.raises(ValueError, match="mode"):
-            self.make(mode="interpolation")
 
     def test_points_outside_the_box_are_rejected(self):
         with pytest.raises(ValueError, match="outside"):
@@ -156,13 +151,11 @@ class TestTrainingSet:
         rng = np.random.default_rng(8)
         inputs = rng.uniform(-1.0, 1.0, size=(9, 4))
         targets = rng.standard_normal((9, 2))
-        ts = TrainingSet(inputs, targets, 2, 1, "flowmap",
-                         -np.ones(4), np.ones(4))
+        ts = TrainingSet(inputs, targets, 2, 1, -np.ones(4), np.ones(4))
         ts.save(tmp_path / "d.csv", tmp_path / "d.meta")
         back = TrainingSet.load(tmp_path / "d.csv", tmp_path / "d.meta")
         assert np.array_equal(back.inputs, ts.inputs)
         assert np.array_equal(back.targets, ts.targets)
-        assert back.mode == "flowmap"
         assert back.n_state == 2 and back.n_params == 1
         assert np.array_equal(back.lows, ts.lows)
         assert np.array_equal(back.highs, ts.highs)
@@ -188,24 +181,8 @@ class TestBuildTrainingSet:
             [0.1, 0.4, 0.9, 2.0],
         ])
         ts = build_training_set(self.rom, points, self.lows, self.highs)
-        assert ts.mode == "velocity"
         assert np.allclose(ts.targets[0], [-0.5, 0.6], atol=1e-15)
         assert np.allclose(ts.targets[1], [-0.2, -1.6], atol=1e-15)
-
-    def test_flowmap_targets_are_one_implicit_step(self):
-        points = np.array([[0.5, -0.3, 0.2, 1.0]])
-        dt = 0.1
-        ts = build_training_set(self.rom, points, self.lows, self.highs,
-                                mode="flowmap", dt=dt)
-        # linear diagonal decay: backward Euler divides by (1 + mu r dt)
-        assert ts.targets[0, 0] == pytest.approx(0.5 / 1.1, abs=1e-12)
-        assert ts.targets[0, 1] == pytest.approx(-0.3 / 1.2, abs=1e-12)
-
-    def test_flowmap_requires_positive_dt(self):
-        points = np.array([[0.0, 0.0, 0.5, 1.0]])
-        with pytest.raises(ValueError, match="dt"):
-            build_training_set(self.rom, points, self.lows, self.highs,
-                               mode="flowmap")
 
     def test_wrong_row_width_rejected(self):
         with pytest.raises(ValueError, match="joint"):

@@ -1,4 +1,4 @@
-"""The regression-surrogate adapter and the explicit flow-map iteration."""
+"""The regression-surrogate adapter."""
 
 import numpy as np
 import pytest
@@ -8,12 +8,12 @@ from nirom.integration import IntegratorSpec, integrate
 from nirom.reduction import GalerkinROM, ReducedBasis
 from nirom.regressors import RegressorSpec, fit_arrays
 from nirom.sampling import build_training_set, lhs_maximin, LhsConfig
-from nirom.surrogate import RegressionROM, iterate_flow_map, reference_flow_map_step
+from nirom.surrogate import RegressionROM
 
 from conftest import DiagonalDecay
 
 
-def fitted_on_velocity(spec, mode="velocity", dt=None, count=220):
+def fitted_on_velocity(spec, count=220):
     """A (system, basis, model, training box) tuple on the 2d decay problem."""
     sys = DiagonalDecay(rates=(1.0, 2.0))
     basis = ReducedBasis(np.eye(2), np.zeros(2), np.ones(2))
@@ -21,7 +21,7 @@ def fitted_on_velocity(spec, mode="velocity", dt=None, count=220):
     lows = np.array([-1.5, -1.5, 0.0, 0.5])
     highs = np.array([1.5, 1.5, 1.0, 2.0])
     points = lhs_maximin(LhsConfig(count, lows, highs, candidate_rounds=2, seed=0))
-    data = build_training_set(rom, points, lows, highs, mode=mode, dt=dt)
+    data = build_training_set(rom, points, lows, highs)
     from nirom.regressors import fit
 
     return sys, basis, fit(spec, data), (lows, highs)
@@ -93,29 +93,3 @@ class TestRegressionROM:
         sys, basis, model, _ = fitted_on_velocity(spec)
         assert RegressionROM(sys, basis, model).label == "kNN"
         assert RegressionROM(sys, basis, model, label="mine").label == "mine"
-
-
-class TestFlowMap:
-    def test_iteration_matches_repeated_prediction(self):
-        dt = 0.05
-        spec = RegressorSpec("vkoga", {"gamma": 1.0, "max_centers": 150})
-        sys, basis, model, _ = fitted_on_velocity(spec, mode="flowmap", dt=dt)
-        mu = np.array([1.0])
-        grid = TimeGrid(0.0, 0.5, 10)
-        result = iterate_flow_map(sys, basis, model, grid, mu)
-        assert result.scheme == "flow_map"
-        x = basis.project(sys.initial_state(mu))
-        for j in range(grid.num_steps):
-            x = model.predict(np.concatenate([x, [result.times[j]], mu]))
-            assert np.array_equal(result.states[:, j + 1], x)
-
-    def test_learned_map_tracks_the_implicit_reference_step(self):
-        dt = 0.05
-        spec = RegressorSpec("vkoga", {"gamma": 1.0, "max_centers": 200})
-        sys, basis, model, _ = fitted_on_velocity(spec, mode="flowmap", dt=dt)
-        rom = GalerkinROM(sys, basis)
-        mu = np.array([1.0])
-        xhat = np.array([0.8, 0.6])
-        learned = model.predict(np.concatenate([xhat, [0.0], mu]))
-        exact = reference_flow_map_step(rom, xhat, 0.0, dt, mu)
-        assert np.max(np.abs(learned - exact)) < 1e-3

@@ -25,7 +25,7 @@ def make_set(m, seed, noise=0.0):
     targets = np.sin(3.0 * inputs[:, :1]) + inputs[:, 2:] ** 2
     if noise:
         targets = targets + noise * rng.standard_normal(targets.shape)
-    return TrainingSet(inputs, targets, 1, 1, "velocity",
+    return TrainingSet(inputs, targets, 1, 1,
                        np.array([0.0, 0.0, 0.0]), np.array([1.0, 1.0, 1.0]))
 
 
