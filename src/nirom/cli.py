@@ -8,9 +8,9 @@ from pathlib import Path
 
 from .core import StageError
 from .pipeline import (
+    SCHEMES,
     STAGES,
     ExperimentConfig,
-    default_config,
     load_config,
     run_pipeline,
     run_stage,
@@ -64,22 +64,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args) -> ExperimentConfig:
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.out is not None:
-        overrides["out_dir"] = args.out
-    if args.config is not None:
-        if args.problem is not None:
-            overrides["problem"] = args.problem
-        return load_config(args.config, overrides)
-    problem = args.problem or "burgers"
-    cfg = default_config(problem)
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.out is not None:
-        cfg.out_dir = Path(args.out)
-    return cfg
+    """The --config file (or the defaults) with the flags given on top."""
+    flags = {
+        "problem": args.problem,
+        "seed": args.seed,
+        "out_dir": args.out,
+        "schemes": getattr(args, "schemes", None),
+    }
+    return load_config(args.config, {k: v for k, v in flags.items() if v is not None})
 
 
 def main(argv=None) -> int:
@@ -93,19 +85,16 @@ def main(argv=None) -> int:
             args.problem = extra.pop(0)
         if extra:
             scheme = extra.pop(0)
-            if scheme not in ("rk4", "backward_euler"):
+            if scheme not in SCHEMES:
                 print(f"[verify-dt] unknown scheme {scheme!r}", file=sys.stderr)
                 return 2
-            args.scheme_filter = scheme
+            args.schemes = (scheme,)
         if extra:
             print(f"[verify-dt] unexpected arguments {extra}", file=sys.stderr)
             return 2
 
     try:
         cfg = _config_from_args(args)
-        scheme_filter = getattr(args, "scheme_filter", None)
-        if scheme_filter is not None:
-            cfg.schemes = (scheme_filter,)
         if command == "run":
             if args.stage is not None:
                 run_stage(cfg, args.stage)

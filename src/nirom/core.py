@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import itertools
 
 import numpy as np
@@ -74,14 +74,6 @@ class ParameterDomain:
     def dim(self) -> int:
         return self.lows.size
 
-    def contains(self, mu) -> bool:
-        mu = np.asarray(mu, dtype=float)
-        return bool(
-            mu.shape == self.lows.shape
-            and np.all(mu >= self.lows)
-            and np.all(mu <= self.highs)
-        )
-
     def check(self, mu) -> np.ndarray:
         """Validate and return mu as a float array, raising DomainError if outside."""
         mu = np.atleast_1d(np.asarray(mu, dtype=float))
@@ -92,15 +84,6 @@ class ParameterDomain:
         if not (np.all(mu >= self.lows) and np.all(mu <= self.highs)):
             raise DomainError(f"parameter {mu} outside box [{self.lows}, {self.highs}]")
         return mu
-
-    def scale01(self, mu) -> np.ndarray:
-        """Map a point of the box onto the unit cube."""
-        mu = np.asarray(mu, dtype=float)
-        return (mu - self.lows) / (self.highs - self.lows)
-
-    def unscale01(self, u) -> np.ndarray:
-        u = np.asarray(u, dtype=float)
-        return self.lows + u * (self.highs - self.lows)
 
     def corners(self) -> np.ndarray:
         """All 2**dim corner points, lexicographic in (low, high) per axis."""
@@ -181,3 +164,11 @@ def require_finite(arr: np.ndarray, what: str = "array") -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise EvaluationError(f"{what} contains non-finite entries")
     return arr
+
+
+def relative_error(x, ref) -> float:
+    """||x - ref|| / ||ref|| (Frobenius for arrays), or ||x|| when ref is zero."""
+    denom = np.linalg.norm(ref)
+    if denom == 0.0:
+        return float(np.linalg.norm(x))
+    return float(np.linalg.norm(x - ref) / denom)

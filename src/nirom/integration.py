@@ -25,6 +25,7 @@ from .core import (
     DivergenceError,
     EvaluationError,
     TimeGrid,
+    relative_error,
 )
 
 DEFAULT_STEP_COUNTS = (25, 50, 100, 200, 400, 800, 1600, 3200, 6400)
@@ -190,10 +191,6 @@ class ConvergenceStudy:
     selected_order: float
     reliable: bool
 
-    def order_at(self, nt: int) -> float:
-        idx = int(np.where(self.counts == nt)[0][0])
-        return float(self.orders[idx])
-
     def to_csv(self, path):
         rows = []
         for i, nt in enumerate(self.counts):
@@ -204,13 +201,6 @@ class ConvergenceStudy:
         text = "Nt,dt,error,observed_order,selected\n" + "\n".join(rows) + "\n"
         with open(path, "w") as fh:
             fh.write(text)
-
-
-def _relative_l2(x, ref) -> float:
-    denom = np.linalg.norm(ref)
-    if denom == 0.0:
-        return float(np.linalg.norm(x))
-    return float(np.linalg.norm(x - ref) / denom)
 
 
 def verify_timestep(
@@ -256,7 +246,7 @@ def verify_timestep(
     errors = np.full(counts.size, np.nan)
     for i, nt in enumerate(counts[:-1]):
         x = finals[int(nt)]
-        errors[i] = np.inf if x is None else _relative_l2(x, ref)
+        errors[i] = np.inf if x is None else relative_error(x, ref)
 
     orders = np.full(counts.size, np.nan)
     for i in range(counts.size - 2):

@@ -1,9 +1,10 @@
 """Plain-text artifact formats shared across the pipeline.
 
 Matrices (snapshots, bases, model payloads) are stored as one header line
-"rows cols" followed by one line per column of %.17g doubles, so files
-round-trip float64 exactly. Small key-value metadata uses "key = value"
-lines. Tables go to CSV with an explicit header row.
+"rows cols" (a model block prefixes it with "@name ") followed by one line
+per column of %.17g doubles, so files round-trip float64 exactly. Small
+key-value metadata uses "key = value" lines. Tables go to CSV with an
+explicit header row.
 """
 
 from __future__ import annotations
@@ -18,6 +19,21 @@ def format_double(v: float) -> str:
     return format(float(v), ".17g")
 
 
+def write_block(fh, arr: np.ndarray, head: str = "") -> None:
+    """A "<head>rows cols" line, then one line of %.17g doubles per column."""
+    fh.write(f"{head}{arr.shape[0]} {arr.shape[1]}\n")
+    for col in arr.T:
+        fh.write(" ".join(format_double(v) for v in col) + "\n")
+
+
+def read_block(fh, rows: int, cols: int, where) -> np.ndarray:
+    """The `cols` column lines that follow a block header, as rows x cols."""
+    flat = np.array(" ".join(fh.readline() for _ in range(cols)).split(), dtype=float)
+    if flat.size != rows * cols:
+        raise ValueError(f"{where}: expected {rows * cols} values, got {flat.size}")
+    return flat.reshape(cols, rows).T
+
+
 def write_matrix(path, arr) -> None:
     arr = np.asarray(arr, dtype=float)
     if arr.ndim == 1:
@@ -25,9 +41,7 @@ def write_matrix(path, arr) -> None:
     if arr.ndim != 2:
         raise ValueError("matrix format holds 2d arrays only")
     with open(path, "w") as fh:
-        fh.write(f"{arr.shape[0]} {arr.shape[1]}\n")
-        for col in arr.T:
-            fh.write(" ".join(format_double(v) for v in col) + "\n")
+        write_block(fh, arr)
 
 
 def read_matrix(path) -> np.ndarray:
@@ -35,11 +49,10 @@ def read_matrix(path) -> np.ndarray:
         header = fh.readline().split()
         if len(header) != 2:
             raise ValueError(f"{path}: bad matrix header {header!r}")
-        rows, cols = int(header[0]), int(header[1])
-        flat = np.array(fh.read().split(), dtype=float)
-    if flat.size != rows * cols:
-        raise ValueError(f"{path}: expected {rows * cols} values, got {flat.size}")
-    return flat.reshape(cols, rows).T
+        arr = read_block(fh, int(header[0]), int(header[1]), path)
+        if fh.read().strip():
+            raise ValueError(f"{path}: data after the last column")
+    return arr
 
 
 def write_keyvalues(path, mapping: dict) -> None:

@@ -17,7 +17,9 @@ from __future__ import annotations
 from concurrent.futures import ThreadPoolExecutor
 import configparser
 from dataclasses import dataclass, field
+import itertools
 from pathlib import Path
+import typing
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -41,7 +43,13 @@ from .integration import (
 )
 from .problems import get_problem
 from .reduction import GalerkinROM, ReducedBasis, SnapshotMatrix, pod_fit
-from .regressors import RegressorSpec, fit as fit_regressor, load_model, save_model
+from .regressors import (
+    RegressorSpec,
+    fit as fit_regressor,
+    load_model,
+    parse_model_line,
+    save_model,
+)
 from .sampling import (
     DEFAULT_CANDIDATE_ROUNDS,
     DEFAULT_N_TRAINING,
@@ -55,6 +63,7 @@ from .sampling import (
 )
 from .surrogate import RegressionROM
 
+SCHEMES = ("rk4", "backward_euler")
 STAGES = ("verify-dt", "fom-solve", "pod", "sample", "train", "rom-solve", "report")
 
 DEFAULT_TEST_MU = {"burgers": (1.8, 0.0232), "convdiff": (9.5, 9.5)}
@@ -83,33 +92,32 @@ DEFAULT_MODELS = {
 }
 
 
-def parse_model_line(line: str) -> RegressorSpec:
-    """'family key=value ...' -> RegressorSpec (seed is a key like any other)."""
-    parts = line.split()
-    family = parts[0]
-    params: dict = {}
-    seed = 0
-    for tok in parts[1:]:
-        key, _, val = tok.partition("=")
-        if key == "seed":
-            seed = int(val)
-            continue
-        try:
-            parsed = int(val)
-        except ValueError:
-            try:
-                parsed = float(val)
-            except ValueError:
-                parsed = val
-        params[key] = parsed
-    return RegressorSpec(family, params, seed=seed)
+# INI section -> {key: ExperimentConfig field}. [integration] also takes
+# nt_<scheme> for each scheme, and [models] maps names to model lines.
+INI_KEYS = {
+    "experiment": {"problem": "problem", "test_mu": "test_mu", "output": "out_dir",
+                   "seed": "seed"},
+    "pod": {"energy": "pod_energy", "max_modes": "pod_max_modes", "n": "pod_n",
+            "center": "pod_center"},
+    "sampling": {k: k for k in ("n_training", "n_validation", "candidate_rounds")},
+    "integration": {k: k for k in ("schemes", "step_counts", "newton_tol",
+                                   "fixed_point_tol", "max_inner")},
+    "pipeline": {k: k for k in ("train_workers", "solve_workers")},
+}
+_NT_KEYS = {f"nt_{scheme}": scheme for scheme in SCHEMES}
 
 
 @dataclass
 class ExperimentConfig:
-    problem: str
-    test_mu: Tuple[float, ...]
-    out_dir: Path
+    """Every knob of an experiment and its default.
+
+    ``test_mu`` and ``out_dir`` default to the problem's DEFAULT_TEST_MU and
+    runs/<problem>; an empty ``models`` means the problem's DEFAULT_MODELS.
+    """
+
+    problem: str = "burgers"
+    test_mu: Optional[Tuple[float, ...]] = None
+    out_dir: Optional[Path] = None
     seed: int = 0
     pod_energy: float = 0.9999
     pod_max_modes: int = 20
@@ -118,25 +126,28 @@ class ExperimentConfig:
     n_training: int = DEFAULT_N_TRAINING
     n_validation: int = DEFAULT_N_VALIDATION
     candidate_rounds: int = DEFAULT_CANDIDATE_ROUNDS
-    schemes: Tuple[str, ...] = ("rk4", "backward_euler")
+    schemes: Tuple[str, ...] = SCHEMES
     step_counts: Tuple[int, ...] = DEFAULT_STEP_COUNTS
     nt_override: Dict[str, int] = field(default_factory=dict)
     newton_tol: float = 1e-9
     fixed_point_tol: float = 1e-2
     max_inner: int = 50
-    train_workers: int = 2
+    train_workers: int = 1
     solve_workers: int = 1
     models: Dict[str, RegressorSpec] = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.problem not in ("burgers", "convdiff"):
+        if self.problem not in DEFAULT_TEST_MU:
             raise ValueError(f"unknown problem {self.problem!r}")
+        if self.test_mu is None:
+            self.test_mu = DEFAULT_TEST_MU[self.problem]
+        if self.out_dir is None:
+            self.out_dir = Path("runs", self.problem)
         self.out_dir = Path(self.out_dir)
-        system = get_problem(self.problem)
         self.test_mu = tuple(float(v) for v in self.test_mu)
-        system.domain.check(np.array(self.test_mu))
+        get_problem(self.problem).domain.check(np.array(self.test_mu))
         for scheme in self.schemes:
-            if scheme not in ("rk4", "backward_euler"):
+            if scheme not in SCHEMES:
                 raise ValueError(f"unknown scheme {scheme!r}")
         if not self.models:
             self.models = {
@@ -145,73 +156,57 @@ class ExperimentConfig:
             }
 
 
-def default_config(problem: str, out_dir="runs", seed: int = 0) -> ExperimentConfig:
-    return ExperimentConfig(
-        problem=problem,
-        test_mu=DEFAULT_TEST_MU[problem],
-        out_dir=Path(out_dir) / problem,
-        seed=seed,
-    )
+def _parse_value(hint, text: str):
+    """An INI value as a field of type `hint`: tuples are whitespace-separated
+    lists and booleans take configparser's words (yes/no, true/false, 1/0)."""
+    if typing.get_origin(hint) is typing.Union:  # Optional[X]
+        hint = typing.get_args(hint)[0]
+    if typing.get_origin(hint) is tuple:
+        return tuple(typing.get_args(hint)[0](v) for v in text.split())
+    if hint is bool:
+        states = configparser.ConfigParser.BOOLEAN_STATES
+        if text.lower() not in states:
+            raise ValueError(f"not a boolean: {text!r}")
+        return states[text.lower()]
+    return hint(text)
 
 
-def load_config(path, overrides: Optional[dict] = None) -> ExperimentConfig:
-    """Read the INI experiment description; overrides win over file values."""
+def _read_ini(path) -> dict:
+    """The ExperimentConfig fields an INI file sets; unknown names raise."""
     parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
+    if not parser.read(path):
         raise FileNotFoundError(f"config file {path} not found")
-    exp = parser["experiment"]
-    problem = exp.get("problem", "burgers")
-    kwargs: dict = {
-        "problem": problem,
-        "test_mu": tuple(
-            float(v)
-            for v in exp.get(
-                "test_mu", " ".join(str(v) for v in DEFAULT_TEST_MU[problem])
-            ).split()
-        ),
-        "out_dir": Path(exp.get("output", f"runs/{problem}")),
-        "seed": exp.getint("seed", 0),
-    }
-    if parser.has_section("pod"):
-        pod = parser["pod"]
-        kwargs["pod_energy"] = pod.getfloat("energy", 0.9999)
-        kwargs["pod_max_modes"] = pod.getint("max_modes", 20)
-        kwargs["pod_center"] = pod.getboolean("center", True)
-        if pod.get("n", None) is not None:
-            kwargs["pod_n"] = pod.getint("n")
-    if parser.has_section("sampling"):
-        s = parser["sampling"]
-        kwargs["n_training"] = s.getint("n_training", DEFAULT_N_TRAINING)
-        kwargs["n_validation"] = s.getint("n_validation", DEFAULT_N_VALIDATION)
-        kwargs["candidate_rounds"] = s.getint("candidate_rounds", DEFAULT_CANDIDATE_ROUNDS)
-    if parser.has_section("integration"):
-        g = parser["integration"]
-        kwargs["schemes"] = tuple(g.get("schemes", "rk4 backward_euler").split())
-        kwargs["step_counts"] = tuple(
-            int(v) for v in g.get(
-                "step_counts", " ".join(str(c) for c in DEFAULT_STEP_COUNTS)
-            ).split()
-        )
-        kwargs["newton_tol"] = g.getfloat("newton_tol", 1e-9)
-        kwargs["fixed_point_tol"] = g.getfloat("fixed_point_tol", 1e-2)
-        kwargs["max_inner"] = g.getint("max_inner", 50)
-        overrides_nt = {}
-        if g.get("nt_rk4", None) is not None:
-            overrides_nt["rk4"] = g.getint("nt_rk4")
-        if g.get("nt_backward_euler", None) is not None:
-            overrides_nt["backward_euler"] = g.getint("nt_backward_euler")
-        kwargs["nt_override"] = overrides_nt
-    if parser.has_section("pipeline"):
-        p = parser["pipeline"]
-        kwargs["train_workers"] = p.getint("train_workers", 2)
-        kwargs["solve_workers"] = p.getint("solve_workers", 1)
-    if parser.has_section("models"):
-        kwargs["models"] = {
-            name: parse_model_line(line) for name, line in parser["models"].items()
-        }
-    kwargs.update(overrides or {})
-    return ExperimentConfig(**kwargs)
+    hints = typing.get_type_hints(ExperimentConfig)
+    settings: dict = {}
+    unknown = []
+    for section in parser.sections():
+        keys = INI_KEYS.get(section)
+        if keys is None and section != "models":
+            unknown.append(f"section [{section}]")
+            continue
+        for key, text in parser.items(section):
+            try:
+                if section == "models":
+                    settings.setdefault("models", {})[key] = parse_model_line(text)
+                elif key in keys:
+                    settings[keys[key]] = _parse_value(hints[keys[key]], text)
+                elif section == "integration" and key in _NT_KEYS:
+                    settings.setdefault("nt_override", {})[_NT_KEYS[key]] = int(text)
+                else:
+                    unknown.append(f"key {key!r} in [{section}]")
+            except ValueError as exc:
+                raise ValueError(f"{path}: [{section}] {key}: {exc}") from None
+    if unknown:
+        raise ValueError(f"{path}: unknown " + ", ".join(unknown))
+    return settings
+
+
+def load_config(path=None, overrides: Optional[dict] = None) -> ExperimentConfig:
+    """The config an INI file describes (the defaults when `path` is None);
+    overrides win over file values. The file sets only the fields it names."""
+    settings = _read_ini(path) if path is not None else {}
+    settings.update(overrides or {})
+    return ExperimentConfig(**settings)
 
 
 class Artifacts:
@@ -363,40 +358,44 @@ def stage_fom_solve(cfg: ExperimentConfig, art: Artifacts) -> None:
         art.save_trajectory(f"fom_{scheme}", result)
 
 
+def _load_corners(art: Artifacts, needed_by: str) -> list:
+    """(states, meta) of every corner run that fom-solve wrote, in order."""
+    art.require("snapshots/corner_0.txt", needed_by, "fom-solve")
+    corners = []
+    for i in itertools.count():
+        path = art.path("snapshots", f"corner_{i}.txt")
+        if not path.exists():
+            return corners
+        corners.append((io.read_matrix(path), io.read_keyvalues(path.with_suffix(".meta"))))
+
+
 def stage_pod(cfg: ExperimentConfig, art: Artifacts) -> None:
-    art.require("snapshots/corner_0.txt", "pod", "fom-solve")
+    corners = _load_corners(art, "pod")
+    t_final = get_problem(cfg.problem).t_final
     parts = []
-    i = 0
-    while art.path("snapshots", f"corner_{i}.txt").exists():
-        data = io.read_matrix(art.path("snapshots", f"corner_{i}.txt"))
-        meta = io.read_keyvalues(art.path("snapshots", f"corner_{i}.meta"))
+    for i, (data, meta) in enumerate(corners):
         mu = np.array(meta["mu"].split(), dtype=float)
         nt = int(meta["num_steps"])
-        times = np.linspace(0.0, get_problem(cfg.problem).t_final, nt + 1)
+        times = np.linspace(0.0, t_final, nt + 1)
         parts.append(
             SnapshotMatrix(
                 data, [f"corner_{i}"] * (nt + 1), times, np.tile(mu, (nt + 1, 1))
             )
         )
-        i += 1
-    snapshots = SnapshotMatrix.concatenate(parts)
-    if cfg.pod_n is not None:
-        basis = pod_fit(
-            snapshots, n=cfg.pod_n, max_modes=cfg.pod_max_modes, center=cfg.pod_center
-        )
-    else:
-        basis = pod_fit(
-            snapshots,
-            energy=cfg.pod_energy,
-            max_modes=cfg.pod_max_modes,
-            center=cfg.pod_center,
-        )
+    energy = cfg.pod_energy if cfg.pod_n is None else None
+    basis = pod_fit(
+        SnapshotMatrix.concatenate(parts),
+        n=cfg.pod_n,
+        energy=energy,
+        max_modes=cfg.pod_max_modes,
+        center=cfg.pod_center,
+    )
     basis.save(
         art.path("basis", "V.txt"),
         art.path("basis", "meta.txt"),
         {
-            "energy": io.format_double(cfg.pod_energy) if cfg.pod_n is None else "",
-            "source_runs": " ".join(f"corner_{j}" for j in range(i)),
+            "energy": "" if energy is None else io.format_double(energy),
+            "source_runs": " ".join(f"corner_{j}" for j in range(len(corners))),
         },
     )
     art.record(pod_n=basis.n)
@@ -412,14 +411,8 @@ def stage_sample(cfg: ExperimentConfig, art: Artifacts) -> None:
     basis = _load_basis(art, "sample")
     rom = GalerkinROM(system, basis)
 
-    blocks = []
-    i = 0
-    while art.path("snapshots", f"corner_{i}.txt").exists():
-        blocks.append(io.read_matrix(art.path("snapshots", f"corner_{i}.txt")))
-        i += 1
-    if not blocks:
-        raise StageError("stage sample needs snapshots/corner_0.txt; run fom-solve first")
-    state_lo, state_hi = reduced_state_box(basis, np.hstack(blocks))
+    corners = _load_corners(art, "sample")
+    state_lo, state_hi = reduced_state_box(basis, np.hstack([s for s, _ in corners]))
     lows, highs = joint_box(state_lo, state_hi, system.t_final, system.domain)
 
     for tag, count, seed in (
@@ -440,21 +433,26 @@ def stage_sample(cfg: ExperimentConfig, art: Artifacts) -> None:
     )
 
 
-def _load_datasets(art: Artifacts, needed_by: str):
-    art.require("training/train.csv", needed_by, "sample")
-    train = TrainingSet.load(
-        art.path("training", "train.csv"), art.path("training", "train.meta")
+def _load_dataset(art: Artifacts, tag: str, needed_by: str) -> TrainingSet:
+    art.require(f"training/{tag}.csv", needed_by, "sample")
+    return TrainingSet.load(
+        art.path("training", f"{tag}.csv"), art.path("training", f"{tag}.meta")
     )
-    valid = TrainingSet.load(
-        art.path("training", "valid.csv"), art.path("training", "valid.meta")
-    )
-    return train, valid
+
+
+def _load_models(cfg: ExperimentConfig, art: Artifacts, needed_by: str) -> dict:
+    """The fitted model of every configured name, by sorted name."""
+    models = {}
+    for name in sorted(cfg.models):
+        art.require(f"models/{name}.txt", needed_by, "train")
+        models[name] = load_model(art.path("models", f"{name}.txt"))
+    return models
 
 
 def stage_train(cfg: ExperimentConfig, art: Artifacts) -> None:
     import time as _time
 
-    train, _ = _load_datasets(art, "train")
+    train = _load_dataset(art, "train", "train")
 
     def fit_one(item):
         name, spec = item
@@ -482,18 +480,14 @@ def stage_rom_solve(cfg: ExperimentConfig, art: Artifacts) -> None:
     mu = np.array(cfg.test_mu)
 
     art.require("training/train.csv", "rom-solve", "sample")
-    model_names = sorted(cfg.models)
-    models = {}
-    for name in model_names:
-        art.require(f"models/{name}.txt", "rom-solve", "train")
-        models[name] = load_model(art.path("models", f"{name}.txt"))
+    models = _load_models(cfg, art, "rom-solve")
 
     jobs = []
     for scheme in cfg.schemes:
         grid = system.time_grid(counts[scheme])
         jobs.append((f"galerkin_{scheme}", rom, grid, _integrator_for(cfg, scheme, True)))
-        for name in model_names:
-            surrogate = RegressionROM(system, basis, models[name], label=name)
+        for name, model in models.items():
+            surrogate = RegressionROM(system, basis, model, label=name)
             jobs.append(
                 (
                     f"{name}_{scheme}",
@@ -529,8 +523,9 @@ def stage_rom_solve(cfg: ExperimentConfig, art: Artifacts) -> None:
 def stage_report(cfg: ExperimentConfig, art: Artifacts) -> None:
     system = get_problem(cfg.problem)
     basis = _load_basis(art, "report")
-    model_names = sorted(cfg.models)
-    train, valid = _load_datasets(art, "report")
+    valid = _load_dataset(art, "valid", "report")
+    models = _load_models(cfg, art, "report")
+    manifest = art.manifest()
     mu = np.array(cfg.test_mu)
 
     for scheme in cfg.schemes:
@@ -550,15 +545,14 @@ def stage_report(cfg: ExperimentConfig, art: Artifacts) -> None:
             )
         ]
         points = []
-        for name in model_names:
-            traj = art.load_trajectory(f"{name}_{scheme}", "report", "rom-solve")
+        for name, model in models.items():
+            tag = f"{name}_{scheme}"
+            traj = art.load_trajectory(tag, "report", "rom-solve")
             series = error_series(traj, fom, galerkin, basis)
-            series.to_csv(art.path("reports", f"errors_{name}_{scheme}.csv"))
+            series.to_csv(art.path("reports", f"errors_{tag}.csv"))
             tau_fom, tau_rom = runtime_ratios(
                 traj.wall_time, fom.wall_time, galerkin.wall_time
             )
-            manifest = art.manifest()
-            extrap = manifest.get(f"extrapolation_fraction_{name}_{scheme}", "")
             rows.append(
                 (
                     name,
@@ -567,43 +561,24 @@ def stage_report(cfg: ExperimentConfig, art: Artifacts) -> None:
                     io.format_double(tau_rom),
                     io.format_double(series.avg_e_fom),
                     io.format_double(series.avg_e_rom),
-                    extrap,
+                    manifest.get(f"extrapolation_fraction_{tag}", ""),
                 )
             )
             points.append(ParetoPoint(name, tau_fom, series.avg_e_fom))
+            if model.differentiable:
+                report = evaluate_bound(
+                    system, mu, fom, traj, basis, model, valid.inputs, valid.targets,
+                    seed=cfg.seed,
+                )
+                report.to_keyvalues(art.path("reports", f"bound_{tag}.txt"))
         io.write_csv(
             art.path("reports", f"summary_{scheme}.csv"),
-            [
-                "method",
-                "online_seconds",
-                "tau_fom",
-                "tau_rom",
-                "avg_e_fom",
-                "avg_e_rom",
-                "extrapolation_fraction",
-            ],
+            ["method", "online_seconds", "tau_fom", "tau_rom", "avg_e_fom",
+             "avg_e_rom", "extrapolation_fraction"],
             rows,
         )
         frontier = pareto_frontier(points)
         pareto_csv(art.path("reports", f"pareto_{scheme}.csv"), points, frontier)
-
-        for name in model_names:
-            model = load_model(art.path("models", f"{name}.txt"))
-            if not model.differentiable:
-                continue
-            traj = art.load_trajectory(f"{name}_{scheme}", "report", "rom-solve")
-            report = evaluate_bound(
-                system,
-                mu,
-                fom,
-                traj,
-                basis,
-                model,
-                valid.inputs,
-                valid.targets,
-                seed=cfg.seed,
-            )
-            report.to_keyvalues(art.path("reports", f"bound_{name}_{scheme}.txt"))
 
 
 _STAGE_FUNCS = {

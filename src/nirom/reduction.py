@@ -37,10 +37,6 @@ class SnapshotMatrix:
         if not (len(self.run_ids) == m == self.times.size == self.mus.shape[0]):
             raise ValueError("per-column tags must match the column count")
 
-    @property
-    def n_columns(self) -> int:
-        return self.data.shape[1]
-
     @classmethod
     def from_trajectory(cls, result: TrajectoryResult, mu, run_id: str):
         m = result.times.size
@@ -95,11 +91,6 @@ class ReducedBasis:
         if xhat.shape[0] != self.n:
             raise ValueError(f"reduced length {xhat.shape[0]}, basis cols {self.n}")
         return (self.offset if xhat.ndim == 1 else self.offset[:, None]) + self.V @ xhat
-
-    def energy_profile(self) -> np.ndarray:
-        """Cumulative retained energy fraction per candidate dimension."""
-        sq = self.singular_values**2
-        return np.cumsum(sq) / np.sum(sq)
 
     def save(self, matrix_path, meta_path, extra_meta: Optional[dict] = None):
         io.write_matrix(matrix_path, self.V)

@@ -8,6 +8,7 @@ from .base import (
     FittedRegressor,
     RegressorSpec,
     load_model,
+    parse_model_line,
     save_model,
 )
 from .knn import KNNRegressor
@@ -71,5 +72,6 @@ __all__ = [
     "fit",
     "fit_arrays",
     "load_model",
+    "parse_model_line",
     "save_model",
 ]

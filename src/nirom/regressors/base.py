@@ -80,10 +80,6 @@ class RegressorSpec:
             ]
         return _DISPLAY[self.family]
 
-    def describe(self) -> str:
-        inner = ",".join(f"{k}={v}" for k, v in sorted(self.params.items()))
-        return f"{self.family}({inner},seed={self.seed})"
-
 
 def scale_to_box(X, lows, highs) -> np.ndarray:
     """Map raw inputs onto the unit cube of the given box (rows or single)."""
@@ -113,12 +109,6 @@ class FittedRegressor:
     def in_box(self, z) -> bool:
         z = np.asarray(z, dtype=float)
         return bool(np.all(z >= self.input_lows) and np.all(z <= self.input_highs))
-
-    def fraction_outside(self, Z) -> float:
-        """Extrapolation diagnostic: share of rows leaving the training box."""
-        Z = np.atleast_2d(np.asarray(Z, dtype=float))
-        inside = np.all((Z >= self.input_lows) & (Z <= self.input_highs), axis=1)
-        return float(1.0 - inside.mean())
 
     def _check_dim(self, z) -> np.ndarray:
         z = np.asarray(z, dtype=float)
@@ -159,9 +149,7 @@ class FittedRegressor:
 
 
 def _format_param(v):
-    if isinstance(v, (bool, np.bool_)):
-        return str(int(v))
-    if isinstance(v, (int, np.integer)):
+    if isinstance(v, (bool, np.bool_, int, np.integer)):
         return str(int(v))
     if isinstance(v, float):
         return io.format_double(v)
@@ -179,50 +167,57 @@ def _parse_param(s: str):
         return s
 
 
+def parse_model_line(line: str) -> RegressorSpec:
+    """'family key=value ... seed=N' -> RegressorSpec (seed is a key like any
+    other); values parse as int, else float, else text."""
+    family, *tokens = line.split()
+    params = {}
+    seed = 0
+    for tok in tokens:
+        key, _, val = tok.partition("=")
+        if key == "seed":
+            seed = int(val)
+        else:
+            params[key] = _parse_param(val)
+    return RegressorSpec(family, params, seed=seed)
+
+
 def save_model(model: FittedRegressor, path) -> None:
-    """Family-tagged plain text: spec line, dimension line, payload matrices."""
+    """Family-tagged plain text: model line, dimension line, payload blocks."""
+    spec = model.spec
+    params = " ".join(
+        f"{k}={_format_param(v)}" for k, v in sorted(spec.params.items())
+    )
     with open(path, "w") as fh:
-        params = " ".join(
-            f"{k}={_format_param(v)}" for k, v in sorted(model.spec.params.items())
-        )
-        fh.write(f"family {model.spec.family} seed={model.spec.seed} {params}\n")
+        fh.write(f"family {spec.family} seed={spec.seed} {params}\n")
         fh.write(f"dims {model.input_dim} {model.output_dim}\n")
         blocks = {"box": np.vstack([model.input_lows, model.input_highs])}
         blocks.update(model.payload())
         for name, mat in blocks.items():
             mat = np.atleast_2d(np.asarray(mat, dtype=float))
-            fh.write(f"@{name} {mat.shape[0]} {mat.shape[1]}\n")
-            for col in mat.T:
-                fh.write(" ".join(io.format_double(v) for v in col) + "\n")
+            io.write_block(fh, mat, f"@{name} ")
 
 
 def load_model(path) -> FittedRegressor:
     from . import family_class  # local import to avoid a cycle
 
     with open(path) as fh:
-        head = fh.readline().split()
-        if not head or head[0] != "family":
+        head = fh.readline().split(None, 1)
+        if len(head) != 2 or head[0] != "family":
             raise ValueError(f"{path}: not a model file")
-        family = head[1]
-        raw = dict(tok.split("=", 1) for tok in head[2:])
-        seed = int(raw.pop("seed", "0"))
-        params = {k: _parse_param(v) for k, v in raw.items()}
+        spec = parse_model_line(head[1])
         dims = fh.readline().split()
         input_dim, output_dim = int(dims[1]), int(dims[2])
         payload = {}
         line = fh.readline()
         while line:
             tag, rows, cols = line.split()
-            rows, cols = int(rows), int(cols)
-            vals = []
-            for _ in range(cols):
-                vals.extend(float(v) for v in fh.readline().split())
-            payload[tag[1:]] = np.array(vals).reshape(cols, rows).T
+            payload[tag[1:]] = io.read_block(fh, int(rows), int(cols), path)
             line = fh.readline()
-    spec = RegressorSpec(family, params, seed=seed)
     box = payload.pop("box")
-    cls = family_class(family)
-    model = cls.from_payload(spec, box[0], box[1], output_dim, payload)
+    model = family_class(spec.family).from_payload(
+        spec, box[0], box[1], output_dim, payload
+    )
     if model.input_dim != input_dim:
         raise ValueError(f"{path}: dimension line disagrees with box block")
     return model

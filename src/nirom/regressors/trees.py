@@ -29,15 +29,6 @@ class Tree:
     right: np.ndarray
     value: np.ndarray
 
-    def predict_one(self, u: np.ndarray) -> np.ndarray:
-        node = 0
-        while self.feature[node] >= 0:
-            if u[self.feature[node]] <= self.threshold[node]:
-                node = self.left[node]
-            else:
-                node = self.right[node]
-        return self.value[node]
-
     def predict_many(self, U: np.ndarray) -> np.ndarray:
         out = np.empty((U.shape[0], self.value.shape[1]))
         active = {0: np.arange(U.shape[0])}

@@ -1,4 +1,4 @@
-"""Hyperparameter sweeps and learning curves over fixed train/validation sets.
+"""Hyperparameter sweeps over fixed train/validation sets.
 
 The error measure is the relative Frobenius norm of the stacked residual,
 ||prediction - target||_F / ||target||_F, computed on whole datasets. The
@@ -8,12 +8,12 @@ model, then to sweep order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional
+from dataclasses import dataclass
+from typing import List
 
 import numpy as np
 
-from .. import io
+from ..core import relative_error
 from ..sampling import TrainingSet
 from .base import FittedRegressor, RegressorSpec
 
@@ -24,13 +24,6 @@ _SIZE_KEYS = {
     "forest": "n_trees",
     "boosting": "n_learners",
 }
-
-
-def relative_error(prediction: np.ndarray, target: np.ndarray) -> float:
-    denom = np.linalg.norm(target)
-    if denom == 0.0:
-        return float(np.linalg.norm(prediction))
-    return float(np.linalg.norm(prediction - target) / denom)
 
 
 def dataset_error(model: FittedRegressor, data: TrainingSet) -> float:
@@ -58,24 +51,6 @@ class ValidationReport:
     @property
     def chosen(self) -> SweepEntry:
         return self.entries[self.chosen_index]
-
-    def to_csv(self, path):
-        rows = [
-            (
-                e.spec.label,
-                e.spec.describe(),
-                io.format_double(e.train_error),
-                io.format_double(e.valid_error),
-                int(i == self.chosen_index),
-                e.note,
-            )
-            for i, e in enumerate(self.entries)
-        ]
-        io.write_csv(
-            path,
-            ["label", "spec", "train_error", "valid_error", "chosen", "note"],
-            rows,
-        )
 
 
 def cross_validate(
@@ -107,33 +82,3 @@ def cross_validate(
         key=lambda i: (entries[i].valid_error, model_size(entries[i].spec), i),
     )
     return ValidationReport(entries, order[0])
-
-
-def learning_curve(
-    spec: RegressorSpec,
-    data: TrainingSet,
-    sizes,
-    valid: TrainingSet,
-    fit=None,
-):
-    """Train/validation error as the first `size` rows are used, per size."""
-    if fit is None:
-        from . import fit
-    rows = []
-    for size in sizes:
-        size = int(size)
-        if size > data.n_rows:
-            raise ValueError(f"size {size} exceeds {data.n_rows} rows")
-        model = fit(spec, data.subset(size))
-        rows.append(
-            (size, dataset_error(model, data.subset(size)), dataset_error(model, valid))
-        )
-    return rows
-
-
-def learning_curve_csv(path, rows):
-    io.write_csv(
-        path,
-        ["size", "train_error", "valid_error"],
-        [(s, io.format_double(a), io.format_double(b)) for s, a, b in rows],
-    )

@@ -65,7 +65,3 @@ class RegressionROM(DynamicalSystem):
 
     def extrapolation_fraction(self) -> float:
         return self.n_outside / self.n_evals if self.n_evals else 0.0
-
-    def reset_diagnostics(self) -> None:
-        self.n_evals = 0
-        self.n_outside = 0

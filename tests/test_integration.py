@@ -222,9 +222,3 @@ class TestVerifyTimestep:
         assert len(lines) == 5
         flags = [line.split(",")[-1] for line in lines[1:]]
         assert flags.count("1") == 1
-
-    def test_order_lookup_by_count(self, diagonal_decay):
-        study = verify_timestep(
-            diagonal_decay, "rk4", np.array([1.0]), counts=(8, 16, 32, 64)
-        )
-        assert study.order_at(8) == pytest.approx(study.orders[0], abs=0.0)

@@ -1,10 +1,13 @@
 """Config parsing, artifact bookkeeping, the staged pipeline, and the CLI."""
 
+import dataclasses
+from pathlib import Path
 import textwrap
 
 import numpy as np
 import pytest
 
+from nirom import cli
 from nirom.cli import main
 from nirom.core import StageError, TimeGrid
 from nirom.integration import TrajectoryResult
@@ -14,12 +17,15 @@ from nirom.pipeline import (
     ExperimentConfig,
     _integrator_for,
     _selected_counts,
-    default_config,
     load_config,
     parse_model_line,
     run_pipeline,
     run_stage,
 )
+
+
+# a removed key (the flow-map mode) and a misspelt one
+BAD_KEYS_INI = "[experiment]\nproblem = burgers\n\n[sampling]\nmode = flowmap\nn_trainig = 5\n"
 
 
 def tiny_config(out_dir, **over):
@@ -122,10 +128,11 @@ class TestExperimentConfig:
             }
 
     def test_default_config_paths(self):
-        cfg = default_config("convdiff", out_dir="elsewhere", seed=3)
-        assert cfg.problem == "convdiff"
-        assert str(cfg.out_dir).endswith("elsewhere/convdiff")
+        cfg = ExperimentConfig("convdiff", seed=3)
+        assert cfg.test_mu == (9.5, 9.5)
+        assert cfg.out_dir == Path("runs") / "convdiff"
         assert cfg.seed == 3
+        assert ExperimentConfig().problem == "burgers"
 
 
 class TestLoadConfig:
@@ -185,6 +192,42 @@ class TestLoadConfig:
         assert cfg.train_workers == 1 and cfg.solve_workers == 1
         assert list(cfg.models) == ["little"]
         assert cfg.models["little"].seed == 4
+
+    def test_unknown_section_is_named(self, tmp_path):
+        ini = tmp_path / "exp.ini"
+        ini.write_text("[experiment]\nproblem = burgers\n\n[sampler]\nn_training = 5\n")
+        with pytest.raises(ValueError, match=r"section \[sampler\]"):
+            load_config(ini)
+
+    def test_misspelt_and_removed_keys_are_named(self, tmp_path):
+        ini = tmp_path / "exp.ini"
+        ini.write_text(BAD_KEYS_INI)
+        with pytest.raises(ValueError, match="'mode'.*'n_trainig'"):
+            load_config(ini)
+
+    def test_step_count_of_an_unknown_scheme_is_named(self, tmp_path):
+        ini = tmp_path / "exp.ini"
+        ini.write_text(
+            "[experiment]\nproblem = burgers\n\n"
+            "[integration]\nnt_rk4 = 400\nnt_trapezoid = 100\n"
+        )
+        with pytest.raises(ValueError, match="nt_trapezoid"):
+            load_config(ini)
+
+    def test_bad_value_names_its_key(self, tmp_path):
+        ini = tmp_path / "exp.ini"
+        ini.write_text("[experiment]\nproblem = burgers\n\n[pod]\ncenter = maybe\n")
+        with pytest.raises(ValueError, match=r"\[pod\] center"):
+            load_config(ini)
+
+    def test_one_key_keeps_the_dataclass_defaults_for_the_rest(self, tmp_path):
+        ini = tmp_path / "exp.ini"
+        ini.write_text("[experiment]\nproblem = burgers\n\n[pod]\nmax_modes = 7\n")
+        cfg = dataclasses.asdict(load_config(ini))
+        default = dataclasses.asdict(ExperimentConfig())
+        assert cfg.pop("pod_max_modes") == 7
+        default.pop("pod_max_modes")
+        assert cfg == default
 
     def test_overrides_win_over_file_values(self, tmp_path):
         ini = tmp_path / "exp.ini"
@@ -363,6 +406,41 @@ class TestCli:
         code = main(["verify-dt", "burgers", "rk4", "extra"])
         assert code == 2
         assert "unexpected arguments" in capsys.readouterr().err
+
+    def test_unknown_config_key_exits_with_config_error(self, tmp_path, capsys):
+        ini = tmp_path / "exp.ini"
+        ini.write_text(BAD_KEYS_INI)
+        # one stage: were the file accepted, a bare `run` would start the whole chain
+        assert main(["run", "--stage", "pod", "--config", str(ini)]) == 2
+        err = capsys.readouterr().err
+        assert "[config]" in err and "n_trainig" in err
+
+    def test_flags_with_and_without_a_config_file(self, tmp_path, monkeypatch):
+        ini = tmp_path / "exp.ini"
+        ini.write_text(
+            f"[experiment]\nproblem = convdiff\ntest_mu = 9.2 9.8\n"
+            f"output = {tmp_path / 'file_out'}\nseed = 7\n"
+        )
+        seen = []
+        monkeypatch.setattr(cli, "run_stage", lambda cfg, stage: seen.append(cfg))
+        cases = [
+            ([], ("burgers", (1.8, 0.0232), Path("runs/burgers"), 0)),
+            (["--problem", "convdiff"], ("convdiff", (9.5, 9.5), Path("runs/convdiff"), 0)),
+            (["--problem", "convdiff", "--seed", "3", "--out", "x"],
+             ("convdiff", (9.5, 9.5), Path("x"), 3)),
+            (["--config", str(ini)],
+             ("convdiff", (9.2, 9.8), tmp_path / "file_out", 7)),
+            (["--config", str(ini), "--problem", "convdiff", "--seed", "11", "--out", "y"],
+             ("convdiff", (9.2, 9.8), Path("y"), 11)),
+        ]
+        for argv, expected in cases:
+            assert main(["pod", *argv]) == 0
+            cfg = seen.pop()
+            assert (cfg.problem, cfg.test_mu, cfg.out_dir, cfg.seed) == expected, argv
+            assert cfg.schemes == ("rk4", "backward_euler")
+        assert main(["verify-dt", "convdiff", "rk4", "--seed", "2"]) == 0
+        cfg = seen.pop()
+        assert (cfg.problem, cfg.seed, cfg.schemes) == ("convdiff", 2, ("rk4",))
 
     def test_unknown_stage_flag_is_an_argparse_error(self):
         with pytest.raises(SystemExit):

@@ -49,7 +49,7 @@ class TestSnapshotMatrix:
             diagonal_decay, diagonal_decay.time_grid(10), mu, IntegratorSpec("rk4")
         )
         snaps = SnapshotMatrix.from_trajectory(result, mu, "run0")
-        assert snaps.n_columns == 11
+        assert snaps.data.shape[1] == 11
         assert snaps.run_ids == ["run0"] * 11
         assert snaps.mus.shape == (11, 1)
         assert np.all(snaps.mus == 1.5)
@@ -61,7 +61,7 @@ class TestSnapshotMatrix:
         b = SnapshotMatrix(2 * np.ones((4, 3)), ["b"] * 3, np.arange(3.0),
                            np.ones((3, 1)))
         both = SnapshotMatrix.concatenate([a, b])
-        assert both.n_columns == 5
+        assert both.data.shape[1] == 5
         assert both.run_ids == ["a", "a", "b", "b", "b"]
         assert np.all(both.data[:, :2] == 1.0) and np.all(both.data[:, 2:] == 2.0)
 
@@ -102,13 +102,6 @@ class TestReducedBasis:
             basis.project(np.zeros(5))
         with pytest.raises(ValueError, match="basis cols"):
             basis.lift(np.zeros(3))
-
-    def test_energy_profile_is_normalized_cumsum(self):
-        sigma = np.array([3.0, 2.0, 1.0])
-        basis = ReducedBasis(random_orthonormal(5, 3), np.zeros(5), sigma)
-        profile = basis.energy_profile()
-        assert profile[-1] == pytest.approx(1.0, abs=1e-15)
-        assert np.allclose(profile, np.array([9.0, 13.0, 14.0]) / 14.0)
 
     def test_save_load_roundtrip_with_offset(self, tmp_path):
         V = random_orthonormal(7, 3, seed=6)

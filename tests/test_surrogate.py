@@ -85,8 +85,6 @@ class TestRegressionROM:
         assert rom.n_evals == 3
         assert rom.n_outside == 2
         assert rom.extrapolation_fraction() == pytest.approx(2.0 / 3.0, abs=1e-15)
-        rom.reset_diagnostics()
-        assert rom.n_evals == 0 and rom.extrapolation_fraction() == 0.0
 
     def test_label_defaults_to_the_family_label(self):
         spec = RegressorSpec("knn", {"n_neighbors": 4})

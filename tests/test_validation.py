@@ -1,17 +1,12 @@
-"""Sweep selection, tie-breaking, failure capture, and learning curves."""
+"""Sweep selection, tie-breaking, failure capture, and the error measure."""
 
 import numpy as np
 import pytest
 
-from nirom.io import read_csv
 from nirom.regressors import RegressorSpec
 from nirom.regressors.validation import (
-    SweepEntry,
-    ValidationReport,
     cross_validate,
     dataset_error,
-    learning_curve,
-    learning_curve_csv,
     model_size,
     relative_error,
 )
@@ -89,40 +84,3 @@ class TestCrossValidate:
         assert np.isinf(report.entries[0].valid_error)
         assert "exceeds" in report.entries[0].note
         assert report.chosen_index == 1
-
-    def test_csv_schema_marks_exactly_one_chosen_row(self, tmp_path):
-        train = make_set(30, 7)
-        valid = make_set(15, 8)
-        specs = [RegressorSpec("knn", {"n_neighbors": k}) for k in (2, 4)]
-        report = cross_validate(specs, train, valid)
-        path = tmp_path / "sweep.csv"
-        report.to_csv(path)
-        header, rows = read_csv(path)
-        assert header == ["label", "spec", "train_error", "valid_error",
-                          "chosen", "note"]
-        assert [r[4] for r in rows].count("1") == 1
-
-
-class TestLearningCurve:
-    def test_rows_follow_the_requested_sizes(self):
-        data = make_set(50, 9)
-        valid = make_set(20, 10)
-        spec = RegressorSpec("knn", {"n_neighbors": 2})
-        rows = learning_curve(spec, data, (10, 25, 50), valid)
-        assert [r[0] for r in rows] == [10, 25, 50]
-        for _, tr, va in rows:
-            assert np.isfinite(tr) and np.isfinite(va)
-
-    def test_oversized_request_is_rejected(self):
-        data = make_set(20, 11)
-        with pytest.raises(ValueError, match="exceeds"):
-            learning_curve(RegressorSpec("knn"), data, (30,), data)
-
-    def test_csv_roundtrip(self, tmp_path):
-        rows = [(10, 0.5, 0.6), (20, 0.25, 0.4)]
-        path = tmp_path / "curve.csv"
-        learning_curve_csv(path, rows)
-        header, back = read_csv(path)
-        assert header == ["size", "train_error", "valid_error"]
-        assert [int(r[0]) for r in back] == [10, 20]
-        assert float(back[1][2]) == 0.4
