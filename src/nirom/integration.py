@@ -1,12 +1,16 @@
 """Time integrators and the timestep-verification study.
 
 ``integrate`` advances any model with a velocity field, full-order or
-reduced, by classical explicit RK4 or implicit backward Euler (Newton or
-fixed-point inner solves). Every scheme is one step function driven by
-the same time loop. Wall times cover that loop only, so that online-cost
-comparisons exclude setup. ``verify_timestep`` runs a self-convergence
-study over a ladder of step counts and picks the coarsest step that
-already shows the scheme's nominal order.
+reduced, by classical explicit RK4 or implicit backward Euler (chord
+Newton or fixed-point inner solves). Chord Newton keeps one LU factor of
+I - h*J, sparse (``splu``) for the full-order systems and dense
+(``lu_factor``) for the reduced ones, across iterations and steps, and
+rebuilds it only when the iteration contracts slower than
+``REFACTOR_RATE``, diverges or stalls. Every scheme is one step function
+driven by the same time loop. Wall times cover that loop only, so that
+online-cost comparisons exclude setup. ``verify_timestep`` runs a
+self-convergence study over a ladder of step counts and picks the
+coarsest step that already shows the scheme's nominal order.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ import time
 from typing import Callable, Optional, Sequence
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -30,6 +35,12 @@ from .core import (
 
 DEFAULT_STEP_COUNTS = (25, 50, 100, 200, 400, 800, 1600, 3200, 6400)
 NOMINAL_ORDER = {"rk4": 4.0, "backward_euler": 1.0}
+# Chord Newton rebuilds its LU factor once an iteration shrinks the update
+# by less than this factor (theta_k = ||d_k|| / ||d_{k-1}|| above it). On
+# both benchmark problems 0.2 is the smallest rate at which each full-order
+# trajectory needs one factor; at 0.5 reduced solves contract so slowly
+# that they take up to 1.7 times the inner iterations.
+REFACTOR_RATE = 0.2
 
 
 @dataclass(frozen=True)
@@ -53,11 +64,19 @@ class IntegratorSpec:
         if self.scheme == "backward_euler":
             if self.inner not in ("newton", "fixed_point"):
                 raise ValueError("backward_euler needs inner newton or fixed_point")
+        if self.max_inner < 1:
+            raise ValueError(f"max_inner must be >= 1, got {self.max_inner}")
+        if not self.tol > 0:
+            raise ValueError(f"tol must be > 0, got {self.tol}")
 
 
 @dataclass
 class TrajectoryResult:
-    """States of one integrated trajectory, one column per time point."""
+    """States of one integrated trajectory, one column per time point.
+
+    ``n_inner_total`` counts the inner iterations of the implicit steps and
+    ``n_factorizations`` chord Newton's LU factorizations (both 0 for RK4).
+    """
 
     times: np.ndarray
     states: np.ndarray
@@ -65,6 +84,7 @@ class TrajectoryResult:
     scheme: str
     inner: Optional[str] = None
     n_inner_total: int = 0
+    n_factorizations: int = 0
 
     @property
     def final_state(self) -> np.ndarray:
@@ -79,23 +99,82 @@ def _rk4_step(velocity, x, t, h, mu):
     return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), 0
 
 
-def _implicit_step_newton(velocity, jacobian, x_prev, t_next, h, mu, tol, max_inner):
-    y = x_prev.copy()
-    for it in range(1, max_inner + 1):
-        r = y - x_prev - h * np.asarray(velocity(y, t_next, mu))
-        jac = jacobian(y, t_next, mu)
+class _ChordNewton:
+    """Backward-Euler step by chord (simplified) Newton, keeping one LU factor.
+
+    The factor of I - h*J is built at the first step and reused across
+    iterations and steps (Hairer & Wanner, Solving ODEs II, §IV.8), while
+    theta_k = ||d_k|| / ||d_{k-1}||, measured on the updates of one factor,
+    stays at or below REFACTOR_RATE. A slow iteration (REFACTOR_RATE <
+    theta_k < 1) rebuilds the factor at the current iterate. A factor from
+    an earlier step that diverges (theta_k >= 1), turns non-finite or runs
+    ``max_inner`` iterations is rebuilt at the step's start and the step
+    restarts. A factor built in this step is kept while theta_k >= 1:
+    near the tolerance that is round-off in the velocity, and a factor
+    rebuilt at a diverging iterate is no better. The step raises
+    ConvergenceError once an iterate turns non-finite, a factor built in
+    this step has run ``max_inner`` iterations, or it would build more
+    than ``max_inner`` factors.
+    """
+
+    def __init__(self, velocity, jacobian, h, mu, tol, max_inner):
+        self.velocity, self.jacobian = velocity, jacobian
+        self.h, self.mu, self.tol, self.max_inner = h, mu, tol, max_inner
+        self.solve = None
+        self.n_factorizations = 0
+
+    def _factor(self, y, t):
+        jac = self.jacobian(y, t, self.mu)
         if sp.issparse(jac):
-            a = (sp.identity(y.size, format="csc") - h * jac).tocsc()
-            delta = spla.splu(a).solve(r)
+            a = (sp.identity(y.size, format="csc") - self.h * jac).tocsc()
+            self.solve = spla.splu(a).solve
         else:
-            delta = np.linalg.solve(np.eye(y.size) - h * np.asarray(jac), r)
-        y = y - delta
-        if np.linalg.norm(delta) <= tol * (1.0 + np.linalg.norm(y)):
-            return y, it
-    raise ConvergenceError(
-        f"newton stalled, residual {np.linalg.norm(delta):.3e}",
-        residual=float(np.linalg.norm(delta)),
-    )
+            a = -self.h * np.asarray(jac, dtype=float)
+            a[np.diag_indices(y.size)] += 1.0
+            lu, piv = sla.lu_factor(a, check_finite=False)
+            # lu_solve's LAPACK routine, called directly: lu_solve's own
+            # per-call checks cost 13 us against a 1-2 us solve at n = 5-20
+            getrs = sla.get_lapack_funcs("getrs", (lu,))
+            self.solve = lambda r: getrs(lu, piv, r)[0]
+        self.n_factorizations += 1
+
+    def __call__(self, x, t, t_next):
+        h, mu = self.h, self.mu
+        y = x.copy()
+        fresh = self.solve is None
+        if fresh:
+            self._factor(y, t_next)
+        n_factors = int(fresh)
+        its = k = 0
+        prev = np.inf
+        while True:
+            delta = self.solve(y - x - h * np.asarray(self.velocity(y, t_next, mu)))
+            y = y - delta
+            its += 1
+            k += 1
+            norm, size = np.linalg.norm(delta), np.linalg.norm(y)
+            if np.isfinite(size) and norm <= self.tol * (1.0 + size):
+                return y, its
+            rate, prev = norm / prev, norm
+            if fresh and not (np.isfinite(size) and k < self.max_inner):
+                raise ConvergenceError(
+                    f"newton stalled, residual {norm:.3e}", residual=float(norm)
+                )
+            keep = rate <= REFACTOR_RATE or (fresh and rate >= 1.0)
+            if keep and k < self.max_inner:
+                continue
+            if not rate < 1.0:
+                y = x.copy()
+            if n_factors >= self.max_inner:
+                raise ConvergenceError(
+                    f"newton stalled after {n_factors} factors, residual {norm:.3e}",
+                    residual=float(norm),
+                )
+            self._factor(y, t_next)
+            fresh = True
+            n_factors += 1
+            k = 0
+            prev = np.inf
 
 
 def _implicit_step_fixed_point(velocity, x_prev, t_next, h, mu, tol, max_inner):
@@ -141,10 +220,16 @@ def integrate(model, grid: TimeGrid, mu, spec: IntegratorSpec) -> TrajectoryResu
 
     RK4 is the classical four-stage scheme. Backward Euler solves
     y - x_j - h*velocity(y, t_{j+1}, mu) = 0 per step, starting at x_j:
-    Newton updates y <- y - (I - h*J)^{-1} r with the model's ``jacobian``;
-    fixed point iterates y <- x_j + h*velocity(y). Both stop once the
-    update satisfies ||dy|| <= tol*(1 + ||y||); exceeding ``max_inner``
-    raises ConvergenceError with the step index and last residual.
+    chord Newton updates y <- y - (I - h*J)^{-1} r with one LU factor of
+    I - h*J from the model's ``jacobian``, kept for the whole call and
+    rebuilt only when an iteration contracts the update by less than
+    ``REFACTOR_RATE``, diverges, turns non-finite or stalls (see
+    ``_ChordNewton``); fixed point iterates y <- x_j + h*velocity(y). Both
+    stop once the update satisfies ||dy|| <= tol*(1 + ||y||). A fixed
+    point that exceeds ``max_inner`` iterations, or a factor built in the
+    current step that fails, raises ConvergenceError with the step index
+    and last residual. The result counts the inner iterations and the
+    factorizations.
     """
     velocity, h = model.velocity, grid.dt
     if spec.scheme == "rk4":
@@ -154,18 +239,15 @@ def integrate(model, grid: TimeGrid, mu, spec: IntegratorSpec) -> TrajectoryResu
         jacobian = getattr(model, "jacobian", None)
         if jacobian is None:
             raise CapabilityError("newton inner solve requires a jacobian")
-
-        def step(x, t, t_next):
-            return _implicit_step_newton(
-                velocity, jacobian, x, t_next, h, mu, spec.tol, spec.max_inner
-            )
+        step = _ChordNewton(velocity, jacobian, h, mu, spec.tol, spec.max_inner)
     else:
         def step(x, t, t_next):
             return _implicit_step_fixed_point(
                 velocity, x, t_next, h, mu, spec.tol, spec.max_inner
             )
     times, states, wall, n_inner = _solve(step, model.initial_state(mu), grid)
-    return TrajectoryResult(times, states, wall, spec.scheme, spec.inner, n_inner)
+    factors = step.n_factorizations if spec.inner == "newton" else 0
+    return TrajectoryResult(times, states, wall, spec.scheme, spec.inner, n_inner, factors)
 
 
 @dataclass

@@ -254,6 +254,8 @@ class Artifacts:
                 "num_steps": result.times.size - 1,
                 "scheme": result.scheme,
                 "inner": result.inner or "",
+                "inner_iterations": result.n_inner_total,
+                "factorizations": result.n_factorizations,
             },
         )
         self.record_timing(**{f"wall_{name}": io.format_double(result.wall_time)})
@@ -265,7 +267,8 @@ class Artifacts:
         grid = TimeGrid(float(meta["t0"]), float(meta["t_final"]), int(meta["num_steps"]))
         wall = self.load_wall(name)
         return TrajectoryResult(
-            grid.times(), states, wall, meta["scheme"], meta["inner"] or None
+            grid.times(), states, wall, meta["scheme"], meta["inner"] or None,
+            int(meta.get("inner_iterations", 0)), int(meta.get("factorizations", 0)),
         )
 
     def load_wall(self, name: str) -> float:
@@ -347,7 +350,12 @@ def stage_fom_solve(cfg: ExperimentConfig, art: Artifacts) -> None:
         io.write_matrix(art.path("snapshots", f"corner_{i}.txt"), result.states)
         io.write_keyvalues(
             art.path("snapshots", f"corner_{i}.meta"),
-            {"mu": " ".join(io.format_double(v) for v in mu), "num_steps": nt_be},
+            {
+                "mu": " ".join(io.format_double(v) for v in mu),
+                "num_steps": nt_be,
+                "inner_iterations": result.n_inner_total,
+                "factorizations": result.n_factorizations,
+            },
         )
     art.record(n_corner_runs=len(corners), snapshot_nt=nt_be)
 

@@ -132,12 +132,6 @@ class TrainingSet:
     def n_rows(self) -> int:
         return self.inputs.shape[0]
 
-    def subset(self, rows: int) -> "TrainingSet":
-        return TrainingSet(
-            self.inputs[:rows], self.targets[:rows],
-            self.n_state, self.n_params, self.lows, self.highs,
-        )
-
     def column_names(self):
         names = [f"xhat_{i}" for i in range(self.n_state)]
         names.append("t")

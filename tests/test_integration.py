@@ -29,6 +29,65 @@ def decay(rate, t_final=1.0):
     return DiagonalDecay(rates=(rate,), t_final=t_final)
 
 
+class CubicDecay:
+    """dx_i/dt = -x_i**3: the Jacobian -3*x**2 changes strongly along a solve."""
+
+    def __init__(self, x0=(2.0, -1.0, 0.5)):
+        self.x0 = np.asarray(x0, dtype=float)
+
+    def initial_state(self, mu):
+        return self.x0.copy()
+
+    def velocity(self, x, t, mu):
+        return -np.asarray(x) ** 3
+
+    def jacobian(self, x, t, mu):
+        return np.diag(-3.0 * np.asarray(x) ** 2)
+
+    def exact_step(self, x, h):
+        """The one real root y of h*y**3 + y - x = 0, per component."""
+        roots = [np.roots([h, 0.0, 1.0, -xi]) for xi in x]
+        return np.array([r[np.argmin(np.abs(r.imag))].real for r in roots])
+
+
+class CountingJacobian:
+    """Decay at rates[0] until t = 0.5 and rates[1] after, with a Jacobian
+    that is exact or, with ``wrong``, zero; counts Jacobian calls."""
+
+    def __init__(self, rates=(1.0, 30.0), wrong=False):
+        self.rates = rates
+        self.wrong = wrong
+        self.calls = 0
+
+    def rate(self, t):
+        return self.rates[0] if t <= 0.5 else self.rates[1]
+
+    def initial_state(self, mu):
+        return np.ones(1)
+
+    def velocity(self, x, t, mu):
+        return -self.rate(t) * np.asarray(x)
+
+    def jacobian(self, x, t, mu):
+        self.calls += 1
+        return np.zeros((1, 1)) if self.wrong else np.array([[-self.rate(t)]])
+
+
+class NoisyDecay:
+    """dx/dt = -x plus a 3e-9 ripple: velocity round-off at the scale of the
+    default Newton tolerance, with the exact Jacobian of the smooth part."""
+
+    def initial_state(self, mu):
+        return np.ones(1)
+
+    def velocity(self, x, t, mu):
+        x = np.asarray(x)
+        return -x + 3e-9 * np.sin(1e13 * x)
+
+    def jacobian(self, x, t, mu):
+        return np.array([[-1.0]])
+
+
 class NoJacobian:
     """A duck-typed model that offers only a velocity and an initial state."""
 
@@ -49,6 +108,16 @@ class TestIntegratorSpec:
     def test_unknown_scheme(self):
         with pytest.raises(ValueError, match="unknown scheme"):
             IntegratorSpec("rk2")
+
+    @pytest.mark.parametrize("inner", ["newton", "fixed_point"])
+    def test_max_inner_below_one_rejected(self, inner):
+        with pytest.raises(ValueError, match="max_inner must be >= 1"):
+            IntegratorSpec("backward_euler", inner, max_inner=0)
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-10, float("nan")])
+    def test_non_positive_tol_rejected(self, tol):
+        with pytest.raises(ValueError, match="tol must be > 0"):
+            IntegratorSpec("backward_euler", "newton", tol)
 
 
 class TestRk4SingleStep:
@@ -134,6 +203,74 @@ class TestBeSolve:
     def test_newton_handles_stiff_steps(self):
         r = integrate(decay(30.0), TimeGrid(0.0, 1.0, 10), MU, NEWTON)
         assert np.all(np.isfinite(r.states))
+
+
+class TestChordNewton:
+    def test_linear_trajectory_takes_one_factorization(self):
+        grid = TimeGrid(0.0, 1.0, 10)
+        r = integrate(decay(30.0), grid, MU, NEWTON)
+        assert r.n_factorizations == 1
+        for spec in (RK4, IntegratorSpec("backward_euler", "fixed_point")):
+            assert integrate(decay(1.0), grid, MU, spec).n_factorizations == 0
+
+    def test_strongly_nonlinear_system_refactors_and_stays_accurate(self):
+        sys, h = CubicDecay(), 0.5
+        r = integrate(sys, TimeGrid(0.0, 20 * h, 20), MU, NEWTON)
+        assert r.n_factorizations > 1
+        for j in range(20):
+            exact = sys.exact_step(r.states[:, j], h)
+            assert np.abs(r.states[:, j + 1] - exact).max() < 1e-9
+
+    def test_stale_factor_that_diverges_is_rebuilt_not_reported(self):
+        # the factor from rate 1 diverges once the rate jumps to 30
+        model = CountingJacobian()
+        r = integrate(model, TimeGrid(0.0, 1.0, 10), MU, NEWTON)
+        assert r.n_factorizations == model.calls == 2
+        expected = np.cumprod([1.0] + [1.0 / (1.0 + 0.1 * model.rate(t))
+                                       for t in r.times[1:]])
+        assert np.abs(r.states[0] - expected).max() < 1e-12
+
+    def test_wrong_jacobian_fails_on_its_fresh_factor(self):
+        # with J = 0 each step is a fixed point, which contracts at |h*lam| =
+        # 0.1 and diverges at 3 from step 5 on, stale factor and fresh alike
+        model = CountingJacobian(wrong=True)
+        with pytest.raises(ConvergenceError) as info:
+            integrate(model, TimeGrid(0.0, 1.0, 10), MU, NEWTON)
+        assert info.value.step == 5
+        assert model.calls == 2
+
+    def test_wrong_jacobian_on_stiff_decay_fails_at_step_zero(self):
+        model = CountingJacobian(rates=(30.0, 30.0), wrong=True)
+        with pytest.raises(ConvergenceError, match="newton stalled") as info:
+            integrate(model, TimeGrid(0.0, 1.0, 10), MU, NEWTON)
+        assert info.value.step == 0
+        assert model.calls == 1
+
+    def test_round_off_at_the_tolerance_is_not_a_divergence(self):
+        # the updates stop shrinking near the tolerance; a fresh factor
+        # keeps iterating there instead of reporting a stall
+        r = integrate(NoisyDecay(), TimeGrid(0.0, 1.0, 10), MU, NEWTON)
+        assert np.abs(r.states[0] - (1.0 / 1.1) ** np.arange(11)).max() < 1e-8
+
+    def test_slow_contraction_refactors_at_most_max_inner_times(self):
+        # with J = 0 and |h*lam| = 0.5 every factor contracts too slowly
+        grid = TimeGrid(0.0, 0.1, 1)
+        model = CountingJacobian(rates=(5.0, 5.0), wrong=True)
+        r = integrate(model, grid, MU, NEWTON)
+        assert 1 < r.n_factorizations <= NEWTON.max_inner
+        assert r.states[0, 1] == pytest.approx(1.0 / 1.5, rel=1e-9)
+        with pytest.raises(ConvergenceError, match="after 3 factors"):
+            integrate(model, grid, MU, IntegratorSpec("backward_euler", "newton", max_inner=3))
+
+    @settings(max_examples=40, deadline=None)
+    @given(h=st.floats(0.01, 5.0))
+    def test_every_step_meets_the_residual_bound(self, h):
+        sys = CubicDecay()
+        r = integrate(sys, TimeGrid(0.0, 20 * h, 20), MU, NEWTON)
+        for j in range(20):
+            x, y = r.states[:, j], r.states[:, j + 1]
+            residual = np.linalg.norm(y - x - h * sys.velocity(y, None, MU))
+            assert residual <= 10 * NEWTON.tol * (1.0 + np.linalg.norm(y))
 
 
 class TestInnerAgreement:

@@ -262,12 +262,15 @@ class TestArtifacts:
         grid = TimeGrid(0.0, 2.0, 4)
         states = np.random.default_rng(0).standard_normal((3, 5))
         result = TrajectoryResult(grid.times(), states, 0.125,
-                                  "backward_euler", "newton", 9)
+                                  "backward_euler", "newton", 9, 2)
         art.save_trajectory("demo", result)
+        meta = read_keyvalues(tmp_path / "trajectories" / "demo.meta")
+        assert (meta["inner_iterations"], meta["factorizations"]) == ("9", "2")
         back = art.load_trajectory("demo", "report", "rom-solve")
         assert np.array_equal(back.states, states)
         assert np.array_equal(back.times, grid.times())
         assert back.scheme == "backward_euler" and back.inner == "newton"
+        assert (back.n_inner_total, back.n_factorizations) == (9, 2)
         assert back.wall_time == 0.125
 
     def test_missing_wall_clock_is_nan(self, tmp_path):
@@ -345,6 +348,16 @@ class TestFullPipeline:
         for name in ("knn", "sindy"):
             frac = float(manifest[f"extrapolation_fraction_{name}_rk4"])
             assert 0.0 <= frac <= 1.0
+
+    def test_trajectory_meta_carries_solver_counters(self, tiny_run):
+        _, out, _ = tiny_run
+        for i in range(4):
+            meta = read_keyvalues(out / "snapshots" / f"corner_{i}.meta")
+            its, factors = int(meta["inner_iterations"]), int(meta["factorizations"])
+            assert its >= int(meta["num_steps"]) == 200
+            assert 1 <= factors < its // 100
+        meta = read_keyvalues(out / "trajectories" / "fom_rk4.meta")
+        assert (meta["inner_iterations"], meta["factorizations"]) == ("0", "0")
 
     def test_summary_table_layout(self, tiny_run):
         _, out, _ = tiny_run

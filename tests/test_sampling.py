@@ -137,13 +137,6 @@ class TestTrainingSet:
         with pytest.raises(ValueError, match="outside"):
             self.make(lows=np.array([0.5, 0.0, 0.5]))
 
-    def test_subset_keeps_leading_rows(self):
-        ts = self.make()
-        sub = ts.subset(1)
-        assert sub.n_rows == 1
-        assert np.array_equal(sub.inputs, ts.inputs[:1])
-        assert np.array_equal(sub.targets, ts.targets[:1])
-
     def test_column_names(self):
         assert self.make().column_names() == ["xhat_0", "t", "mu_0", "target_0"]
 
