@@ -67,6 +67,14 @@ def time_average(times: np.ndarray, series: np.ndarray) -> float:
     return float(np.trapezoid(series[mask], t) / span)
 
 
+def _require_shared_grid(surrogate: TrajectoryResult, *others: TrajectoryResult):
+    for other in others:
+        if surrogate.times.size != other.times.size or not np.allclose(
+            surrogate.times, other.times
+        ):
+            raise ValueError("trajectories are not on a shared time grid")
+
+
 def error_series(
     surrogate: TrajectoryResult,
     fom: TrajectoryResult,
@@ -83,11 +91,7 @@ def error_series(
     different offsets give the same e_rom. All three trajectories must
     share one time grid.
     """
-    for other in (fom, galerkin):
-        if surrogate.times.size != other.times.size or not np.allclose(
-            surrogate.times, other.times
-        ):
-            raise ValueError("trajectories are not on a shared time grid")
+    _require_shared_grid(surrogate, fom, galerkin)
     lifted = basis.lift(surrogate.states)
     e_fom = relative_series(lifted, fom.states)
     e_rom = relative_series(lifted, basis.lift(galerkin.states))
@@ -229,10 +233,7 @@ def evaluate_bound(
     can undershoot the true suprema, so `holds` is diagnostic, not a
     guarantee.
     """
-    if surrogate.times.size != fom.times.size or not np.allclose(
-        surrogate.times, fom.times
-    ):
-        raise ValueError("trajectories are not on a shared time grid")
+    _require_shared_grid(surrogate, fom)
     lifted = basis.lift(surrogate.states)
     pool = np.hstack([fom.states, lifted])
     K = sample_lipschitz(system, mu, pool, n_pairs=n_pairs, seed=seed)

@@ -19,6 +19,7 @@ import configparser
 from dataclasses import dataclass, field
 import itertools
 from pathlib import Path
+import time
 import typing
 from typing import Dict, Optional, Tuple
 
@@ -458,15 +459,13 @@ def _load_models(cfg: ExperimentConfig, art: Artifacts, needed_by: str) -> dict:
 
 
 def stage_train(cfg: ExperimentConfig, art: Artifacts) -> None:
-    import time as _time
-
     train = _load_dataset(art, "train", "train")
 
     def fit_one(item):
         name, spec = item
-        tic = _time.perf_counter()
+        tic = time.perf_counter()
         model = fit_regressor(spec, train)
-        return name, model, _time.perf_counter() - tic
+        return name, model, time.perf_counter() - tic
 
     items = list(cfg.models.items())
     if cfg.train_workers > 1:
@@ -522,7 +521,7 @@ def stage_rom_solve(cfg: ExperimentConfig, art: Artifacts) -> None:
             art.record(
                 **{
                     f"extrapolation_fraction_{tag}": io.format_double(
-                        model.extrapolation_fraction()
+                        model.extrapolation_fraction(result, mu)
                     )
                 }
             )

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import numpy as np
+
 from ..sampling import TrainingSet
 from .base import (
     FAMILY_DEFAULTS,
@@ -45,8 +47,6 @@ def fit(spec: RegressorSpec, data: TrainingSet) -> FittedRegressor:
 
 def fit_arrays(spec: RegressorSpec, X, Y, lows=None, highs=None) -> FittedRegressor:
     """Train from raw arrays; the box defaults to the empirical input range."""
-    import numpy as np
-
     X = np.atleast_2d(np.asarray(X, dtype=float))
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
     if X.shape[0] < 1:

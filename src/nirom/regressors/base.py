@@ -106,9 +106,10 @@ class FittedRegressor:
     def scale(self, z) -> np.ndarray:
         return (np.asarray(z, dtype=float) - self.input_lows) / self._width
 
-    def in_box(self, z) -> bool:
-        z = np.asarray(z, dtype=float)
-        return bool(np.all(z >= self.input_lows) and np.all(z <= self.input_highs))
+    def in_box(self, Z) -> np.ndarray:
+        """Whether each row of Z (or the single point Z) lies in the box."""
+        Z = np.asarray(Z, dtype=float)
+        return np.all((Z >= self.input_lows) & (Z <= self.input_highs), axis=-1)
 
     def _check_dim(self, z) -> np.ndarray:
         z = np.asarray(z, dtype=float)

@@ -6,60 +6,24 @@ the rows they received. The forest averages deep trees built on
 bootstrap samples with a random feature subset per split; boosting fits
 shallow trees to the running residual of a squared-loss stage-wise model.
 A ``max_depth`` of 0 means unlimited depth.
+
+An ensemble packs its trees into one node array: the trees' nodes are
+concatenated, each tree starts at its root offset and every leaf is its
+own left and right child. A prediction moves every (row, tree) pair down
+one level per vectorized step (``<=`` the threshold goes left) until none
+moves, as in QuickScorer (Lucchese et al., SIGIR 2015), then adds the
+leaf values tree by tree in tree order. Saved models keep per-tree
+(feature, threshold, left, right) node blocks, with -1 at leaves, and
+value blocks; self-pointing leaves exist only in memory.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .base import FittedRegressor, RegressorSpec, scale_to_box
 
 _NO_SPLIT = -1
-
-
-@dataclass
-class Tree:
-    """Flat arrays: feature < 0 marks a leaf; children index into the arrays."""
-
-    feature: np.ndarray
-    threshold: np.ndarray
-    left: np.ndarray
-    right: np.ndarray
-    value: np.ndarray
-
-    def predict_many(self, U: np.ndarray) -> np.ndarray:
-        out = np.empty((U.shape[0], self.value.shape[1]))
-        active = {0: np.arange(U.shape[0])}
-        while active:
-            node, rows = active.popitem()
-            if self.feature[node] < 0:
-                out[rows] = self.value[node]
-                continue
-            go_left = U[rows, self.feature[node]] <= self.threshold[node]
-            if go_left.any():
-                active[self.left[node]] = rows[go_left]
-            if not go_left.all():
-                active[self.right[node]] = rows[~go_left]
-        return out
-
-    def to_payload(self, tag: str) -> dict:
-        nodes = np.column_stack(
-            [self.feature, self.threshold, self.left, self.right]
-        ).astype(float)
-        return {f"{tag}_nodes": nodes, f"{tag}_values": self.value}
-
-    @classmethod
-    def from_payload(cls, tag: str, payload: dict) -> "Tree":
-        nodes = payload[f"{tag}_nodes"]
-        return cls(
-            nodes[:, 0].astype(int),
-            nodes[:, 1].copy(),
-            nodes[:, 2].astype(int),
-            nodes[:, 3].astype(int),
-            payload[f"{tag}_values"],
-        )
 
 
 def _best_split(U, Y, rows, features, min_leaf):
@@ -100,20 +64,18 @@ def _best_split(U, Y, rows, features, min_leaf):
     return best
 
 
-def build_tree(U, Y, rows, rng, max_depth, min_leaf, n_split_features) -> Tree:
-    feature, threshold, left, right, value = [], [], [], [], []
+def build_tree(U, Y, rows, rng, max_depth, min_leaf, n_split_features):
+    """Grow one tree on ``rows``; returns its (nodes, values) saved blocks."""
+    nodes, values = [], []
     depth_cap = max_depth if max_depth > 0 else np.inf
     d = U.shape[1]
     mtry = n_split_features if n_split_features > 0 else max(1, d // 3)
     mtry = min(mtry, d)
 
     def grow(node_rows, depth):
-        idx = len(feature)
-        feature.append(_NO_SPLIT)
-        threshold.append(0.0)
-        left.append(_NO_SPLIT)
-        right.append(_NO_SPLIT)
-        value.append(Y[node_rows].mean(axis=0))
+        idx = len(nodes)
+        nodes.append([_NO_SPLIT, 0.0, _NO_SPLIT, _NO_SPLIT])
+        values.append(Y[node_rows].mean(axis=0))
         if depth >= depth_cap or node_rows.size < 2 * min_leaf:
             return idx
         if rng is None:
@@ -124,26 +86,69 @@ def build_tree(U, Y, rows, rng, max_depth, min_leaf, n_split_features) -> Tree:
         if split is None:
             return idx
         f, thr, rows_l, rows_r = split
-        feature[idx] = f
-        threshold[idx] = thr
-        left[idx] = grow(rows_l, depth + 1)
-        right[idx] = grow(rows_r, depth + 1)
+        # left to right: the left subtree takes the lower (preorder) indices
+        nodes[idx] = [f, thr, grow(rows_l, depth + 1), grow(rows_r, depth + 1)]
         return idx
 
     grow(rows, 0)
-    return Tree(
-        np.asarray(feature), np.asarray(threshold),
-        np.asarray(left), np.asarray(right), np.vstack(value),
-    )
+    return np.array(nodes, dtype=float), np.vstack(values)
 
 
-class ForestRegressor(FittedRegressor):
+class _TreeEnsemble(FittedRegressor):
+    """Packing, the walk and persistence shared by both ensembles.
+
+    ``trees`` holds one (nodes, values) pair per tree in the saved layout.
+    Subclasses add ``fit`` and combine the leaf values in ``_predict_scaled``;
+    ``_head`` names the (1, n) blocks a subclass saves after ``n_trees``.
+    """
+
     differentiable = False
+    _head = ()
 
     def __init__(self, spec, lows, highs, trees):
-        super().__init__(spec, lows, highs, trees[0].value.shape[1])
-        self.trees = list(trees)
+        sizes = [len(nodes) for nodes, _ in trees]
+        self.nodes, self.values = map(np.vstack, zip(*trees))
+        super().__init__(spec, lows, highs, self.values.shape[1])
+        self.roots = np.cumsum([0] + sizes[:-1])
+        leaf = self.nodes[:, :1] < 0
+        self.feature = np.where(leaf[:, 0], 0, self.nodes[:, 0]).astype(np.intp)
+        self.threshold = self.nodes[:, 1]
+        # node i moves to step[2 i + (goes left)]; a leaf moves to itself
+        children = self.nodes[:, [3, 2]] + np.repeat(self.roots, sizes)[:, None]
+        here = np.arange(len(self.nodes))[:, None]
+        self.step = np.where(leaf, here, children).astype(np.intp).ravel()
 
+    def _leaf_values(self, U) -> np.ndarray:
+        """The leaf value each row reaches in each tree, (rows, trees, outputs)."""
+        rows = np.arange(U.shape[0])[:, None]
+        at = np.broadcast_to(self.roots, (U.shape[0], self.roots.size))
+        while True:
+            goes_left = U[rows, self.feature[at]] <= self.threshold[at]
+            moved = self.step[2 * at + goes_left]
+            if (moved == at).all():
+                return self.values[at]
+            at = moved
+
+    def payload(self) -> dict:
+        out = {"n_trees": np.array([[float(self.roots.size)]])}
+        out.update({name: getattr(self, name)[None, :] for name in self._head})
+        ends = [*self.roots[1:], self.nodes.shape[0]]
+        for i, (start, end) in enumerate(zip(self.roots, ends)):
+            out[f"tree{i}_nodes"] = self.nodes[start:end]
+            out[f"tree{i}_values"] = self.values[start:end]
+        return out
+
+    @classmethod
+    def from_payload(cls, spec, lows, highs, output_dim, payload):
+        count = int(payload["n_trees"][0, 0])
+        trees = [
+            (payload[f"tree{i}_nodes"], payload[f"tree{i}_values"])
+            for i in range(count)
+        ]
+        return cls(spec, lows, highs, trees, *(payload[k][0] for k in cls._head))
+
+
+class ForestRegressor(_TreeEnsemble):
     @classmethod
     def fit(cls, spec: RegressorSpec, X, Y, lows, highs) -> "ForestRegressor":
         U = scale_to_box(X, lows, highs)
@@ -164,32 +169,19 @@ class ForestRegressor(FittedRegressor):
         return cls(spec, lows, highs, trees)
 
     def _predict_scaled(self, U: np.ndarray) -> np.ndarray:
-        acc = self.trees[0].predict_many(U).copy()
-        for tree in self.trees[1:]:
-            acc += tree.predict_many(U)
-        return acc / len(self.trees)
-
-    def payload(self) -> dict:
-        out = {"n_trees": np.array([[float(len(self.trees))]])}
-        for i, tree in enumerate(self.trees):
-            out.update(tree.to_payload(f"tree{i}"))
-        return out
-
-    @classmethod
-    def from_payload(cls, spec, lows, highs, output_dim, payload):
-        count = int(payload["n_trees"][0, 0])
-        trees = [Tree.from_payload(f"tree{i}", payload) for i in range(count)]
-        return cls(spec, lows, highs, trees)
+        leaves = self._leaf_values(U)
+        acc = leaves[:, 0].copy()
+        for k in range(1, self.roots.size):
+            acc += leaves[:, k]
+        return acc / self.roots.size
 
 
-class BoostingRegressor(FittedRegressor):
-    differentiable = False
+class BoostingRegressor(_TreeEnsemble):
+    _head = ("base_value",)
 
-    def __init__(self, spec, lows, highs, base_value, trees):
-        base_value = np.asarray(base_value, dtype=float)
-        super().__init__(spec, lows, highs, base_value.size)
-        self.base_value = base_value
-        self.trees = list(trees)
+    def __init__(self, spec, lows, highs, trees, base_value):
+        super().__init__(spec, lows, highs, trees)
+        self.base_value = np.asarray(base_value, dtype=float)
         self.learning_rate = float(spec["learning_rate"])
 
     @classmethod
@@ -205,27 +197,14 @@ class BoostingRegressor(FittedRegressor):
             tree = build_tree(
                 U, Y - current, rows, None, int(spec["max_depth"]), 1, 0
             )
-            current += lr * tree.predict_many(U)
+            stage = _TreeEnsemble(spec, lows, highs, [tree])
+            current += lr * stage._leaf_values(U)[:, 0]
             trees.append(tree)
-        return cls(spec, lows, highs, base, trees)
+        return cls(spec, lows, highs, trees, base)
 
     def _predict_scaled(self, U: np.ndarray) -> np.ndarray:
+        leaves = self.learning_rate * self._leaf_values(U)
         acc = np.tile(self.base_value, (U.shape[0], 1))
-        for tree in self.trees:
-            acc += self.learning_rate * tree.predict_many(U)
+        for k in range(self.roots.size):
+            acc += leaves[:, k]
         return acc
-
-    def payload(self) -> dict:
-        out = {
-            "n_trees": np.array([[float(len(self.trees))]]),
-            "base_value": self.base_value[None, :],
-        }
-        for i, tree in enumerate(self.trees):
-            out.update(tree.to_payload(f"tree{i}"))
-        return out
-
-    @classmethod
-    def from_payload(cls, spec, lows, highs, output_dim, payload):
-        count = int(payload["n_trees"][0, 0])
-        trees = [Tree.from_payload(f"tree{i}", payload) for i in range(count)]
-        return cls(spec, lows, highs, payload["base_value"][0], trees)

@@ -4,8 +4,9 @@
 projected model for ``integrate``: its velocity is the regressor's
 prediction at (xhat, t, mu), its Jacobian (when the family has one) is
 the state block of the regressor's full input Jacobian. The adapter also
-counts how often the integrator queries the model outside its training
-box, the extrapolation diagnostic reported with each solve.
+gives the share of a solved trajectory's points that lie outside the
+model's training box, the extrapolation diagnostic reported with each
+solve.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .core import DynamicalSystem
+from .integration import TrajectoryResult
 from .reduction import ReducedBasis
 from .regressors.base import FittedRegressor
 
@@ -39,8 +41,6 @@ class RegressionROM(DynamicalSystem):
         self.dim = basis.n
         self.domain = system.domain
         self.t_final = system.t_final
-        self.n_evals = 0
-        self.n_outside = 0
 
     @property
     def differentiable(self) -> bool:
@@ -53,15 +53,15 @@ class RegressionROM(DynamicalSystem):
         return self.basis.project(self.system.initial_state(mu))
 
     def velocity(self, xhat, t, mu) -> np.ndarray:
-        z = self._joint(xhat, t, mu)
-        self.n_evals += 1
-        if not self.model.in_box(z):
-            self.n_outside += 1
-        return self.model.predict(z)
+        return self.model.predict(self._joint(xhat, t, mu))
 
     def jacobian(self, xhat, t, mu) -> np.ndarray:
         full = self.model.jacobian(self._joint(xhat, t, mu))
         return full[:, : self.dim]
 
-    def extrapolation_fraction(self) -> float:
-        return self.n_outside / self.n_evals if self.n_evals else 0.0
+    def extrapolation_fraction(self, result: TrajectoryResult, mu) -> float:
+        """Share of the time points (xhat_j, t_j, mu) of a solved trajectory
+        that lie outside the model's training box."""
+        mus = np.tile(np.asarray(mu, float), (result.times.size, 1))
+        Z = np.column_stack([result.states.T, result.times, mus])
+        return float(np.mean(~self.model.in_box(Z)))

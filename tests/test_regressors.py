@@ -1,6 +1,7 @@
 """Regression families: specs, fit and predict behavior, jacobians,
 pruning and greedy selection diagnostics, and model persistence."""
 
+from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
@@ -21,6 +22,22 @@ def toy_rows(m=60, d=3, seed=0):
     rng = np.random.default_rng(seed)
     X = rng.uniform(0.0, 1.0, size=(m, d))
     return X
+
+
+def walk_saved_tree(nodes, values, u, node=0):
+    """Reference walk: one row down one saved tree block, by recursion."""
+    feature, threshold, left, right = nodes[node]
+    if feature < 0:
+        return values[node]
+    child = left if u[int(feature)] <= threshold else right
+    return walk_saved_tree(nodes, values, u, int(child))
+
+
+def saved_tree_predict(blocks, i, U):
+    return np.array(
+        [walk_saved_tree(blocks[f"tree{i}_nodes"], blocks[f"tree{i}_values"], u)
+         for u in U]
+    )
 
 
 class TestRegressorSpec:
@@ -86,6 +103,8 @@ class TestScaling:
         assert model.in_box(np.array([0.5, 0.5]))
         assert not model.in_box(np.array([1.5, 0.5]))
         assert model.in_box(np.array([1.0, 0.0]))  # boundary included
+        rows = np.array([[0.5, 0.5], [1.5, 0.5], [0.2, np.nan]])
+        assert model.in_box(rows).tolist() == [True, False, False]
 
     def test_input_width_is_checked(self):
         X = toy_rows(10, 3, seed=2)
@@ -281,8 +300,9 @@ class TestForest:
         Y = X[:, :1]
         model = fit_arrays(RegressorSpec("forest", {"n_trees": 3, "max_depth": 1}),
                            X, Y)
-        for tree in model.trees:
-            assert tree.feature.size <= 3
+        blocks = model.payload()
+        for i in range(3):
+            assert blocks[f"tree{i}_nodes"].shape[0] <= 3
 
     def test_jacobian_unavailable(self):
         X = toy_rows(10, 2, seed=19)
@@ -298,9 +318,10 @@ class TestBoosting:
         spec = RegressorSpec("boosting", {"n_learners": 6, "max_depth": 2})
         model = fit_arrays(spec, X, Y, lows=np.zeros(2), highs=np.ones(2))
         U = model.scale(X)
-        manual = np.tile(model.base_value, (X.shape[0], 1))
-        for tree in model.trees:
-            manual += model.learning_rate * tree.predict_many(U)
+        blocks = model.payload()
+        manual = np.tile(blocks["base_value"][0], (X.shape[0], 1))
+        for i in range(6):
+            manual += model.learning_rate * saved_tree_predict(blocks, i, U)
         assert np.array_equal(model.predict_many(X), manual)
 
     def test_fit_is_deterministic(self):
@@ -325,6 +346,48 @@ class TestBoosting:
         model = fit_arrays(RegressorSpec("boosting", {"n_learners": 2}), X, X[:, :1])
         with pytest.raises(CapabilityError):
             model.jacobian(X[0])
+
+
+class TestPackedWalk:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        family=st.sampled_from(["forest", "boosting"]),
+        seed=st.integers(0, 2**16),
+        m=st.integers(1, 30),
+        d=st.integers(1, 3),
+        depth=st.integers(0, 4),
+        constant=st.booleans(),
+    )
+    def test_matches_a_recursive_walk_of_the_saved_blocks(
+        self, family, seed, m, d, depth, constant
+    ):
+        rng = np.random.default_rng(seed)
+        X = rng.integers(0, 4, size=(m, d)).astype(float)
+        Y = np.full((m, 2), 0.7) if constant else rng.normal(size=(m, 2))
+        params = {"n_trees": 3} if family == "forest" else {"n_learners": 3}
+        spec = RegressorSpec(family, {**params, "max_depth": depth}, seed=seed)
+        model = fit_arrays(spec, X, Y, lows=np.zeros(d), highs=np.full(d, 3.0))
+        blocks = model.payload()
+        count = int(blocks["n_trees"][0, 0])
+        U = [rng.uniform(-0.2, 1.2, size=d)]
+        for i in range(count):  # rows exactly on every split threshold
+            for feature, threshold, _, _ in blocks[f"tree{i}_nodes"]:
+                if feature >= 0:
+                    U.append(U[0].copy())
+                    U[-1][int(feature)] = threshold
+        U = np.array(U)
+
+        leaves = [saved_tree_predict(blocks, i, U) for i in range(count)]
+        if family == "forest":
+            expected = leaves[0].copy()
+            for leaf in leaves[1:]:
+                expected += leaf
+            expected /= count
+        else:
+            expected = np.tile(blocks["base_value"][0], (U.shape[0], 1))
+            for leaf in leaves:
+                expected += model.learning_rate * leaf
+        assert np.array_equal(model._predict_scaled(U), expected)
 
 
 class TestSVR:
@@ -376,6 +439,9 @@ class TestPersistence:
             save_model(model, path)
             back = load_model(path)
             assert back.spec == model.spec
+            again = tmp_path / "again.txt"
+            save_model(back, again)
+            assert again.read_bytes() == path.read_bytes(), spec.family
             assert np.array_equal(back.predict_many(Q), model.predict_many(Q)), (
                 spec.family
             )

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from nirom.core import CapabilityError, TimeGrid, fd_jacobian
-from nirom.integration import IntegratorSpec, integrate
+from nirom.integration import IntegratorSpec, TrajectoryResult, integrate
 from nirom.reduction import GalerkinROM, ReducedBasis
 from nirom.regressors import RegressorSpec, fit_arrays
 from nirom.sampling import build_training_set, lhs_maximin, LhsConfig
@@ -76,15 +76,17 @@ class TestRegressionROM:
 
     def test_extrapolation_counter(self):
         spec = RegressorSpec("knn", {"n_neighbors": 4})
-        sys, basis, model, (lows, highs) = fitted_on_velocity(spec)
+        sys, basis, model, _ = fitted_on_velocity(spec)
         rom = RegressionROM(sys, basis, model)
-        mu = np.array([1.0])
-        rom.velocity(np.array([0.0, 0.0]), 0.5, mu)       # inside
-        rom.velocity(np.array([9.0, 0.0]), 0.5, mu)       # state outside
-        rom.velocity(np.array([0.0, 0.0]), 0.5, np.array([7.0]))  # mu outside
-        assert rom.n_evals == 3
-        assert rom.n_outside == 2
-        assert rom.extrapolation_fraction() == pytest.approx(2.0 / 3.0, abs=1e-15)
+        # box: states [-1.5, 1.5]^2, t [0, 1], mu [0.5, 2]
+        times = np.array([0.0, 0.25, 0.5, 1.0, 1.5])
+        states = np.array([[0.0, 1.5, 9.0, -1.5, 0.0],
+                           [0.0, 0.0, 0.0, -1.6, 0.0]])
+        traj = TrajectoryResult(times, states, 0.0, "rk4")
+        # inside, on the boundary, state outside, state outside, t outside
+        assert rom.extrapolation_fraction(traj, np.array([1.0])) == 0.6
+        assert rom.extrapolation_fraction(traj, np.array([7.0])) == 1.0
+        assert rom.extrapolation_fraction(traj, np.array([2.0])) == 0.6
 
     def test_label_defaults_to_the_family_label(self):
         spec = RegressorSpec("knn", {"n_neighbors": 4})
