@@ -175,9 +175,9 @@ class BoundReport:
 
 
 def sample_lipschitz(
-    system, mu, state_pool: np.ndarray, n_pairs: int = 1000, seed: int = 0, t: float = 0.0
+    system, mu, state_pool: np.ndarray, n_pairs: int = 1000, seed: int = 0
 ) -> float:
-    """Max difference quotient of the velocity over sampled state pairs.
+    """Max difference quotient of the velocity at t = 0 over sampled state pairs.
 
     Pairs mix draws from the pooled trajectory columns with small random
     perturbations of them, which probes both global and local slope.
@@ -196,7 +196,8 @@ def sample_lipschitz(
         if dx == 0.0:
             continue
         df = np.linalg.norm(
-            np.asarray(system.velocity(x1, t, mu)) - np.asarray(system.velocity(x2, t, mu))
+            np.asarray(system.velocity(x1, 0.0, mu))
+            - np.asarray(system.velocity(x2, 0.0, mu))
         )
         best = max(best, df / dx)
     return best
@@ -221,7 +222,6 @@ def evaluate_bound(
     model,
     validation_inputs: Optional[np.ndarray] = None,
     validation_targets: Optional[np.ndarray] = None,
-    n_pairs: int = 1000,
     seed: int = 0,
 ) -> BoundReport:
     """Instantiate the a-priori error bound for one surrogate run.
@@ -236,7 +236,7 @@ def evaluate_bound(
     _require_shared_grid(surrogate, fom)
     lifted = basis.lift(surrogate.states)
     pool = np.hstack([fom.states, lifted])
-    K = sample_lipschitz(system, mu, pool, n_pairs=n_pairs, seed=seed)
+    K = sample_lipschitz(system, mu, pool, seed=seed)
 
     if validation_inputs is None:
         C = 0.0

@@ -43,7 +43,7 @@ from .integration import (
     verify_timestep,
 )
 from .problems import get_problem
-from .reduction import GalerkinROM, ReducedBasis, SnapshotMatrix, pod_fit
+from .reduction import GalerkinROM, ReducedBasis, pod_fit
 from .regressors import (
     RegressorSpec,
     fit as fit_regressor,
@@ -55,7 +55,6 @@ from .sampling import (
     DEFAULT_CANDIDATE_ROUNDS,
     DEFAULT_N_TRAINING,
     DEFAULT_N_VALIDATION,
-    LhsConfig,
     TrainingSet,
     build_training_set,
     joint_box,
@@ -368,32 +367,21 @@ def stage_fom_solve(cfg: ExperimentConfig, art: Artifacts) -> None:
 
 
 def _load_corners(art: Artifacts, needed_by: str) -> list:
-    """(states, meta) of every corner run that fom-solve wrote, in order."""
+    """The state array of every corner run that fom-solve wrote, in order."""
     art.require("snapshots/corner_0.txt", needed_by, "fom-solve")
     corners = []
     for i in itertools.count():
         path = art.path("snapshots", f"corner_{i}.txt")
         if not path.exists():
             return corners
-        corners.append((io.read_matrix(path), io.read_keyvalues(path.with_suffix(".meta"))))
+        corners.append(io.read_matrix(path))
 
 
 def stage_pod(cfg: ExperimentConfig, art: Artifacts) -> None:
     corners = _load_corners(art, "pod")
-    t_final = get_problem(cfg.problem).t_final
-    parts = []
-    for i, (data, meta) in enumerate(corners):
-        mu = np.array(meta["mu"].split(), dtype=float)
-        nt = int(meta["num_steps"])
-        times = np.linspace(0.0, t_final, nt + 1)
-        parts.append(
-            SnapshotMatrix(
-                data, [f"corner_{i}"] * (nt + 1), times, np.tile(mu, (nt + 1, 1))
-            )
-        )
     energy = cfg.pod_energy if cfg.pod_n is None else None
     basis = pod_fit(
-        SnapshotMatrix.concatenate(parts),
+        np.hstack(corners),
         n=cfg.pod_n,
         energy=energy,
         max_modes=cfg.pod_max_modes,
@@ -421,16 +409,14 @@ def stage_sample(cfg: ExperimentConfig, art: Artifacts) -> None:
     rom = GalerkinROM(system, basis)
 
     corners = _load_corners(art, "sample")
-    state_lo, state_hi = reduced_state_box(basis, np.hstack([s for s, _ in corners]))
+    state_lo, state_hi = reduced_state_box(basis, np.hstack(corners))
     lows, highs = joint_box(state_lo, state_hi, system.t_final, system.domain)
 
     for tag, count, seed in (
         ("train", cfg.n_training, cfg.seed),
         ("valid", cfg.n_validation, cfg.seed + 1),
     ):
-        points = lhs_maximin(
-            LhsConfig(count, lows, highs, cfg.candidate_rounds, seed)
-        )
+        points = lhs_maximin(count, lows, highs, cfg.candidate_rounds, seed)
         data = build_training_set(rom, points, lows, highs)
         data.save(
             art.path("training", f"{tag}.csv"), art.path("training", f"{tag}.meta")
@@ -494,7 +480,7 @@ def stage_rom_solve(cfg: ExperimentConfig, art: Artifacts) -> None:
         grid = system.time_grid(counts[scheme])
         jobs.append((f"galerkin_{scheme}", rom, grid, _integrator_for(cfg, scheme, True)))
         for name, model in models.items():
-            surrogate = RegressionROM(system, basis, model, label=name)
+            surrogate = RegressionROM(system, basis, model)
             jobs.append(
                 (
                     f"{name}_{scheme}",

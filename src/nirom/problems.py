@@ -22,7 +22,8 @@ from .core import DynamicalSystem, ParameterDomain, require_finite
 class Burgers1D(DynamicalSystem):
     """Upwind finite-volume Burgers' flow with source 0.02*exp(b*x).
 
-    State u has one entry per grid node x_i = i*(100/500), i = 0..500.
+    State u has one entry per grid node x_i = i*dx, dx = 100/(dim - 1),
+    i = 0..dim-1.
     The inflow node is a Dirichlet condition u_0 = a: the initial state
     carries it and its velocity row is zero, so it never moves. Transport
     is everywhere positive for admissible parameters, hence the pure
@@ -35,8 +36,8 @@ class Burgers1D(DynamicalSystem):
     domain = ParameterDomain([1.5, 0.02], [2.0, 0.025], names=("a", "b"))
 
     def __init__(self):
-        self.xs = np.arange(self.dim) * (100.0 / 500.0)
-        self.dx = 100.0 / 500.0
+        self.dx = 100.0 / (self.dim - 1)
+        self.xs = np.arange(self.dim) * self.dx
 
     def initial_state(self, mu) -> np.ndarray:
         a, _ = self.domain.check(mu)
@@ -98,15 +99,10 @@ class ConvDiff2D(DynamicalSystem):
     def _build_neighbor_matrix(self) -> sp.csr_matrix:
         """Adjacency of interior nodes to their 4 grid neighbors (any node)."""
         n = self.n_side
-        rows, cols = [], []
-        for i in range(1, n - 1):
-            for j in range(1, n - 1):
-                k = i * n + j
-                for k2 in (k - n, k + n, k - 1, k + 1):
-                    rows.append(k)
-                    cols.append(k2)
-        data = np.ones(len(rows))
-        return sp.csr_matrix((data, (rows, cols)), shape=(self.dim, self.dim))
+        k = np.flatnonzero(self.interior)
+        rows = np.repeat(k, 4)
+        cols = rows + np.tile([-n, n, -1, 1], k.size)
+        return sp.csr_matrix((np.ones(rows.size), (rows, cols)), shape=(self.dim, self.dim))
 
     def initial_state(self, mu) -> np.ndarray:
         self.domain.check(mu)

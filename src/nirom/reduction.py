@@ -2,8 +2,10 @@
 
 The reduced model keeps the full-order velocity in the loop: its reduced
 velocity is V^T f(xbar + V xhat, t; mu), which is what the regression
-surrogates later learn to imitate. ``pod_fit`` builds V from snapshot
-columns by SVD with either a fixed dimension or an energy criterion.
+surrogates later learn to imitate. ``pod_fit`` takes the snapshot array
+itself (columns are full-order states, e.g. ``np.hstack`` of trajectory
+states) and builds V by one SVD with either a fixed dimension or an
+energy criterion.
 """
 
 from __future__ import annotations
@@ -17,40 +19,12 @@ import scipy.sparse as sp
 
 from . import io
 from .core import DynamicalSystem
-from .integration import TrajectoryResult
 
 
-@dataclass
-class SnapshotMatrix:
-    """State columns gathered from one or more runs, with per-column tags."""
-
-    data: np.ndarray
-    run_ids: list
-    times: np.ndarray
-    mus: np.ndarray
-
-    def __post_init__(self):
-        self.data = np.asarray(self.data, dtype=float)
-        if self.data.ndim != 2 or self.data.shape[1] < 1:
-            raise ValueError("snapshot matrix needs at least one column")
-        m = self.data.shape[1]
-        if not (len(self.run_ids) == m == self.times.size == self.mus.shape[0]):
-            raise ValueError("per-column tags must match the column count")
-
-    @classmethod
-    def from_trajectory(cls, result: TrajectoryResult, mu, run_id: str):
-        m = result.times.size
-        mus = np.tile(np.atleast_1d(np.asarray(mu, float)), (m, 1))
-        return cls(result.states, [run_id] * m, result.times.copy(), mus)
-
-    @classmethod
-    def concatenate(cls, parts):
-        parts = list(parts)
-        data = np.hstack([p.data for p in parts])
-        run_ids = [rid for p in parts for rid in p.run_ids]
-        times = np.concatenate([p.times for p in parts])
-        mus = np.vstack([p.mus for p in parts])
-        return cls(data, run_ids, times, mus)
+# Former tagged snapshot class, kept only because bench/test_bench_checks.py
+# still builds one: it returns the state columns and drops the tags.
+def SnapshotMatrix(data, *tags) -> np.ndarray:
+    return np.asarray(data, dtype=float)
 
 
 @dataclass
@@ -118,13 +92,14 @@ class ReducedBasis:
 
 
 def pod_fit(
-    snapshots: SnapshotMatrix,
+    snapshots: np.ndarray,
     n: Optional[int] = None,
     energy: Optional[float] = None,
     max_modes: Optional[int] = None,
     center: bool = False,
 ) -> ReducedBasis:
-    """Proper orthogonal decomposition of the snapshot columns.
+    """Proper orthogonal decomposition of ``snapshots``, whose columns are
+    full-order states.
 
     Exactly one of ``n`` (fixed dimension) or ``energy`` (fraction eta of
     squared singular values, smallest dimension reaching it) must be given.
@@ -136,7 +111,9 @@ def pod_fit(
         raise ValueError("give exactly one of n or energy")
     if energy is not None and not 0.0 < energy <= 1.0:
         raise ValueError("energy fraction must lie in (0, 1]")
-    S = snapshots.data
+    S = np.asarray(snapshots, dtype=float)
+    if S.ndim != 2 or S.shape[1] < 1:
+        raise ValueError("snapshot matrix needs at least one column")
     offset = S.mean(axis=1) if center else np.zeros(S.shape[0])
     U, sigma, _ = np.linalg.svd(S - offset[:, None], full_matrices=False)
     tol = max(S.shape) * np.finfo(float).eps * (sigma[0] if sigma.size else 0.0)

@@ -38,11 +38,7 @@ def family_class(family: str):
 
 def fit(spec: RegressorSpec, data: TrainingSet) -> FittedRegressor:
     """Train one regressor on a dataset, scaling by the dataset's box."""
-    if data.n_rows < 1:
-        raise ValueError("empty training set")
-    return family_class(spec.family).fit(
-        spec, data.inputs, data.targets, data.lows, data.highs
-    )
+    return fit_arrays(spec, data.inputs, data.targets, data.lows, data.highs)
 
 
 def fit_arrays(spec: RegressorSpec, X, Y, lows=None, highs=None) -> FittedRegressor:

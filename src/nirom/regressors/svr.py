@@ -30,6 +30,13 @@ def kernel_matrix(A, B, kernel: str, gamma: float) -> np.ndarray:
     return (A @ B.T + 1.0) ** deg
 
 
+def rbf_gradients(u: np.ndarray, centers: np.ndarray, gamma: float) -> np.ndarray:
+    """Row i: the gradient in u of the Gaussian kernel exp(-gamma |u - c_i|^2)."""
+    diffs = u[None, :] - centers
+    kv = np.exp(-gamma * np.sum(diffs**2, axis=1))
+    return (-2.0 * gamma) * kv[:, None] * diffs
+
+
 def _solve_dual(K: np.ndarray, y: np.ndarray, eps: float, c_box: float) -> np.ndarray:
     m = y.size
     beta = np.zeros(m)
@@ -79,10 +86,8 @@ class SVRRegressor(FittedRegressor):
         return kernel_matrix(U, self.inputs_scaled, self.kernel, self.gamma) @ self.beta
 
     def _jacobian_scaled(self, u: np.ndarray) -> np.ndarray:
-        diffs = u[None, :] - self.inputs_scaled
         if self.kernel == "rbf":
-            kv = np.exp(-self.gamma * np.sum(diffs**2, axis=1))
-            grads = (-2.0 * self.gamma) * kv[:, None] * diffs
+            grads = rbf_gradients(u, self.inputs_scaled, self.gamma)
         else:
             deg = {"poly2": 2, "poly3": 3}[self.kernel]
             base = self.inputs_scaled @ u + 1.0

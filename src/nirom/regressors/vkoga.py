@@ -14,16 +14,12 @@ from __future__ import annotations
 import warnings
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .base import FittedRegressor, RegressorSpec, scale_to_box
+from .svr import kernel_matrix, rbf_gradients
 
 POWER_FLOOR = 1e-13
 RESIDUAL_STOP = 1e-12
-
-
-def gaussian_kernel(A: np.ndarray, B: np.ndarray, gamma: float) -> np.ndarray:
-    return np.exp(-gamma * cdist(np.atleast_2d(A), np.atleast_2d(B), "sqeuclidean"))
 
 
 class VKOGARegressor(FittedRegressor):
@@ -45,7 +41,7 @@ class VKOGARegressor(FittedRegressor):
         gamma = float(spec["gamma"])
         n_centers = min(int(spec["max_centers"]), m)
 
-        kmat = gaussian_kernel(U, U, gamma)
+        kmat = kernel_matrix(U, U, "rbf", gamma)
         newton = np.zeros((m, n_centers))
         power2 = np.ones(m)  # k(x, x) = 1 for the Gaussian kernel
         resid = Y.copy()
@@ -97,12 +93,10 @@ class VKOGARegressor(FittedRegressor):
         return cls(spec, lows, highs, U[selected], alpha, history)
 
     def _predict_scaled(self, U: np.ndarray) -> np.ndarray:
-        return gaussian_kernel(U, self.centers_scaled, self.gamma) @ self.alpha
+        return kernel_matrix(U, self.centers_scaled, "rbf", self.gamma) @ self.alpha
 
     def _jacobian_scaled(self, u: np.ndarray) -> np.ndarray:
-        diffs = u[None, :] - self.centers_scaled
-        kv = np.exp(-self.gamma * np.sum(diffs**2, axis=1))
-        return self.alpha.T @ ((-2.0 * self.gamma) * kv[:, None] * diffs)
+        return self.alpha.T @ rbf_gradients(u, self.centers_scaled, self.gamma)
 
     @property
     def n_centers(self) -> int:

@@ -1,14 +1,20 @@
 """Latin-hypercube maximin sampling and regression-dataset assembly.
 
-Training inputs live in the joint (xhat, t, mu) box: reduced-state bounds
-come from the corner-run snapshots (inflated 10% per side), time spans
-[0, T] and the parameter block is the problem's admissible box. Targets
-are reduced velocities of the projected model.
+Everything here takes and returns plain arrays. Training inputs live in
+the joint (xhat, t, mu) box: ``reduced_state_box`` bounds the projected
+corner-run snapshot array (inflated 10% per side), time spans [0, T] and
+the parameter block is the problem's admissible box; ``joint_box`` joins
+the three blocks into (lows, highs). ``lhs_maximin(count, lows, highs,
+candidate_rounds, seed)`` draws the design as rows, and
+``build_training_set`` records the projected model's reduced velocity at
+each row as its target.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
+
 import numpy as np
 from scipy.spatial.distance import pdist
 
@@ -21,33 +27,9 @@ DEFAULT_N_VALIDATION = 500
 DEFAULT_CANDIDATE_ROUNDS = 64
 
 
-@dataclass(frozen=True)
-class LhsConfig:
-    """Size, joint box, number of maximin restarts and seed of one design."""
-
-    count: int
-    lows: np.ndarray
-    highs: np.ndarray
-    candidate_rounds: int = DEFAULT_CANDIDATE_ROUNDS
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.count < 1:
-            raise ValueError("need count >= 1")
-        if self.candidate_rounds < 1:
-            raise ValueError("need at least one candidate round")
-        lo = np.asarray(self.lows, dtype=float)
-        hi = np.asarray(self.highs, dtype=float)
-        if lo.shape != hi.shape or lo.ndim != 1:
-            raise ValueError("box bounds must be 1d arrays of equal length")
-        if not np.all(lo < hi):
-            raise ValueError("need lows < highs componentwise")
-        object.__setattr__(self, "lows", lo)
-        object.__setattr__(self, "highs", hi)
-
-    @property
-    def dim(self) -> int:
-        return self.lows.size
+# Former argument bundle of ``lhs_maximin``, kept only because
+# bench/test_bench_checks.py still passes one; new code passes the fields.
+LhsConfig = namedtuple("LhsConfig", "count lows highs candidate_rounds seed")
 
 
 def latin_design(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
@@ -66,22 +48,36 @@ def min_pairwise_distance(u: np.ndarray) -> float:
     return float(pdist(u).min())
 
 
-def lhs_maximin(cfg: LhsConfig) -> np.ndarray:
-    """Best-of-`candidate_rounds` Latin design under the maximin criterion.
+def lhs_maximin(
+    count: int,
+    lows=None,
+    highs=None,
+    candidate_rounds: int = DEFAULT_CANDIDATE_ROUNDS,
+    seed: int = 0,
+) -> np.ndarray:
+    """Best-of-`candidate_rounds` Latin design of `count` points in the box
+    [lows, highs] under the maximin criterion.
 
     Distances are measured on the unit cube (every coordinate scaled to
-    [0, 1]); the winner is mapped onto the configured box. Ties keep the
-    earliest candidate, so the result is deterministic given the seed.
+    [0, 1]); the winner is mapped onto the box. Ties keep the earliest
+    candidate, so the result is deterministic given the seed.
     """
-    rng = np.random.default_rng(cfg.seed)
+    if isinstance(count, LhsConfig):
+        return lhs_maximin(*count)
+    if count < 1:
+        raise ValueError("need count >= 1")
+    if candidate_rounds < 1:
+        raise ValueError("need at least one candidate round")
+    box = ParameterDomain(lows, highs)  # 1d bounds of equal length, lows < highs
+    rng = np.random.default_rng(seed)
     best = None
     best_score = -np.inf
-    for _ in range(cfg.candidate_rounds):
-        u = latin_design(rng, cfg.count, cfg.dim)
+    for _ in range(candidate_rounds):
+        u = latin_design(rng, count, box.dim)
         score = min_pairwise_distance(u)
         if score > best_score:
             best, best_score = u, score
-    return cfg.lows + best * (cfg.highs - cfg.lows)
+    return box.lows + best * (box.highs - box.lows)
 
 
 def reduced_state_box(basis: ReducedBasis, snapshots, inflate: float = 0.1):
@@ -127,10 +123,6 @@ class TrainingSet:
         inside = (self.inputs >= self.lows - 1e-12) & (self.inputs <= self.highs + 1e-12)
         if not np.all(inside):
             raise ValueError("some inputs fall outside the declared box")
-
-    @property
-    def n_rows(self) -> int:
-        return self.inputs.shape[0]
 
     def column_names(self):
         names = [f"xhat_{i}" for i in range(self.n_state)]

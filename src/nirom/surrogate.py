@@ -11,8 +11,6 @@ solve.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from .core import DynamicalSystem
@@ -22,13 +20,7 @@ from .regressors.base import FittedRegressor
 
 
 class RegressionROM(DynamicalSystem):
-    def __init__(
-        self,
-        system: DynamicalSystem,
-        basis: ReducedBasis,
-        model: FittedRegressor,
-        label: Optional[str] = None,
-    ):
+    def __init__(self, system: DynamicalSystem, basis: ReducedBasis, model: FittedRegressor):
         expected = basis.n + 1 + system.domain.dim
         if model.input_dim != expected:
             raise ValueError(
@@ -37,7 +29,6 @@ class RegressionROM(DynamicalSystem):
         self.system = system
         self.basis = basis
         self.model = model
-        self.label = label or model.spec.label
         self.dim = basis.n
         self.domain = system.domain
         self.t_final = system.t_final

@@ -20,16 +20,10 @@ from nirom.core import TimeGrid, fd_jacobian
 from nirom.integration import IntegratorSpec, integrate, verify_timestep
 from nirom.pipeline import DEFAULT_MODELS, parse_model_line
 from nirom.problems import get_problem
-from nirom.reduction import GalerkinROM, SnapshotMatrix, pod_fit
+from nirom.reduction import GalerkinROM, pod_fit
 from nirom.regressors import RegressorSpec, fit as fit_regressor, fit_arrays
 from nirom.regressors.validation import cross_validate
-from nirom.sampling import (
-    LhsConfig,
-    build_training_set,
-    joint_box,
-    lhs_maximin,
-    reduced_state_box,
-)
+from nirom.sampling import build_training_set, joint_box, lhs_maximin, reduced_state_box
 from nirom.surrogate import RegressionROM
 
 SNAPSHOT_NT = 800
@@ -94,29 +88,26 @@ def _best_of(model, grid, mu, spec, repeats):
 def _build_lab(problem):
     system = get_problem(problem)
     be = IntegratorSpec("backward_euler", "newton", NEWTON_TOL)
-    parts = [
-        SnapshotMatrix.from_trajectory(
-            integrate(system, system.time_grid(SNAPSHOT_NT), mu, be), mu, f"corner_{i}"
-        )
-        for i, mu in enumerate(system.domain.corners())
-    ]
-    snapshots = SnapshotMatrix.concatenate(parts)
+    snapshots = np.hstack([
+        integrate(system, system.time_grid(SNAPSHOT_NT), mu, be).states
+        for mu in system.domain.corners()
+    ])
     basis = pod_fit(
         snapshots, energy=POD_ENERGY, max_modes=POD_MAX_MODES, center=True
     )
     rom = GalerkinROM(system, basis)
 
-    state_lo, state_hi = reduced_state_box(basis, snapshots.data)
+    state_lo, state_hi = reduced_state_box(basis, snapshots)
     lows, highs = joint_box(state_lo, state_hi, system.t_final, system.domain)
     train = build_training_set(
         rom,
-        lhs_maximin(LhsConfig(N_TRAINING, lows, highs, CANDIDATE_ROUNDS, 0)),
+        lhs_maximin(N_TRAINING, lows, highs, CANDIDATE_ROUNDS, 0),
         lows,
         highs,
     )
     valid = build_training_set(
         rom,
-        lhs_maximin(LhsConfig(N_VALIDATION, lows, highs, CANDIDATE_ROUNDS, 1)),
+        lhs_maximin(N_VALIDATION, lows, highs, CANDIDATE_ROUNDS, 1),
         lows,
         highs,
     )
@@ -138,7 +129,7 @@ def _build_lab(problem):
             models={},
         )
         for name, model in models.items():
-            surrogate = RegressionROM(system, basis, model, label=name)
+            surrogate = RegressionROM(system, basis, model)
             repeats = 3 if name in ("sindy", "vkoga") else 1
             traj = _best_of(
                 surrogate, grid, mu, _integrator(scheme, surrogate.differentiable),
@@ -281,10 +272,7 @@ def test_criterion_6_property_composite(capsys):
     rng = np.random.default_rng(0)
 
     data = rng.standard_normal((30, 12))
-    snaps = SnapshotMatrix(
-        data, ["r"] * 12, np.linspace(0.0, 1.0, 12), np.zeros((12, 1))
-    )
-    basis = pod_fit(snaps, energy=0.999, center=True)
+    basis = pod_fit(data, energy=0.999, center=True)
     ortho_gap = np.max(np.abs(basis.V.T @ basis.V - np.eye(basis.n)))
     checks.append(("pod orthonormality", ortho_gap <= 1e-10))
 
@@ -361,14 +349,14 @@ def test_criterion_6_property_composite(capsys):
     )
 
     lows2, highs2 = np.array([0.0, -1.0]), np.array([2.0, 3.0])
-    lhs_cfg = LhsConfig(16, lows2, highs2, 8, 5)
-    pts = lhs_maximin(lhs_cfg)
+    lhs_args = (16, lows2, highs2, 8, 5)
+    pts = lhs_maximin(*lhs_args)
     strata = np.clip(
         np.floor((pts - lows2) / (highs2 - lows2) * 16).astype(int), 0, 15
     )
     latin = all(len(set(strata[:, j])) == 16 for j in range(2))
     checks.append(("latin property", latin))
-    checks.append(("maximin determinism", np.array_equal(pts, lhs_maximin(lhs_cfg))))
+    checks.append(("maximin determinism", np.array_equal(pts, lhs_maximin(*lhs_args))))
 
     cloud = [
         ParetoPoint(f"p{i}", t, e)

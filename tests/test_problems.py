@@ -26,6 +26,18 @@ class TestBurgers:
         assert self.sys.xs[0] == 0.0 and self.sys.xs[-1] == pytest.approx(100.0)
         assert self.sys.t_final == 25.0
 
+    def test_grid_follows_dim(self):
+        class Coarse(Burgers1D):
+            dim = 251
+
+        coarse = Coarse()
+        assert coarse.xs[0] == 0.0 and coarse.xs[-1] == 100.0
+        assert coarse.dx == 0.4
+        mu = np.array([1.8, 0.0232])
+        u = coarse.initial_state(mu)
+        assert coarse.velocity(u, 0.0, mu).shape == (251,)
+        assert coarse.jacobian(u, 0.0, mu).shape == (251, 251)
+
     def test_initial_state_carries_inflow_value(self):
         u0 = self.sys.initial_state([1.7, 0.021])
         assert u0[0] == 1.7
@@ -84,6 +96,20 @@ class TestConvDiff:
         assert self.sys.h == pytest.approx(1.0 / 50.0)
         assert self.sys.t_final == 2.0
         assert self.sys.mu0 == 0.01
+
+    def test_neighbor_matrix_matches_a_loop_over_interior_nodes(self):
+        n = self.sys.n_side
+        rows, cols = [], []
+        for i in range(1, n - 1):
+            for j in range(1, n - 1):
+                k = i * n + j
+                for k2 in (k - n, k + n, k - 1, k + 1):
+                    rows.append(k)
+                    cols.append(k2)
+        ref = sp.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n * n, n * n))
+        got = self.sys._neighbors
+        for part in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(got, part), getattr(ref, part))
 
     def test_initial_state_is_zero(self):
         assert np.all(self.sys.initial_state([9.5, 9.5]) == 0.0)

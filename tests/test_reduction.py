@@ -1,4 +1,4 @@
-"""Snapshot handling, POD basis construction, and the projected model."""
+"""POD basis construction and the projected model."""
 
 import numpy as np
 import pytest
@@ -6,12 +6,7 @@ import pytest
 from nirom.core import TimeGrid, fd_jacobian
 from nirom.integration import IntegratorSpec, integrate
 from nirom.problems import get_problem
-from nirom.reduction import (
-    GalerkinROM,
-    ReducedBasis,
-    SnapshotMatrix,
-    pod_fit,
-)
+from nirom.reduction import GalerkinROM, ReducedBasis, pod_fit
 
 from conftest import DiagonalDecay
 
@@ -28,42 +23,7 @@ def snapshots_with_singular_values(sigma, rows=6, seed=3):
     m = sigma.size
     u = random_orthonormal(rows, m, seed)
     w = random_orthonormal(m, m, seed + 1)
-    data = u @ np.diag(sigma) @ w.T
-    mus = np.zeros((m, 1))
-    return SnapshotMatrix(data, ["r"] * m, np.arange(m, dtype=float), mus)
-
-
-class TestSnapshotMatrix:
-    def test_tag_mismatch_rejected(self):
-        data = np.zeros((4, 3))
-        with pytest.raises(ValueError, match="tags"):
-            SnapshotMatrix(data, ["a", "b"], np.zeros(3), np.zeros((3, 1)))
-
-    def test_needs_at_least_one_column(self):
-        with pytest.raises(ValueError, match="column"):
-            SnapshotMatrix(np.zeros((4, 0)), [], np.zeros(0), np.zeros((0, 1)))
-
-    def test_from_trajectory_tiles_parameters(self, diagonal_decay):
-        mu = np.array([1.5])
-        result = integrate(
-            diagonal_decay, diagonal_decay.time_grid(10), mu, IntegratorSpec("rk4")
-        )
-        snaps = SnapshotMatrix.from_trajectory(result, mu, "run0")
-        assert snaps.data.shape[1] == 11
-        assert snaps.run_ids == ["run0"] * 11
-        assert snaps.mus.shape == (11, 1)
-        assert np.all(snaps.mus == 1.5)
-        assert np.array_equal(snaps.times, result.times)
-
-    def test_concatenate_stacks_columns_and_tags(self):
-        a = SnapshotMatrix(np.ones((4, 2)), ["a", "a"], np.array([0.0, 1.0]),
-                           np.zeros((2, 1)))
-        b = SnapshotMatrix(2 * np.ones((4, 3)), ["b"] * 3, np.arange(3.0),
-                           np.ones((3, 1)))
-        both = SnapshotMatrix.concatenate([a, b])
-        assert both.data.shape[1] == 5
-        assert both.run_ids == ["a", "a", "b", "b", "b"]
-        assert np.all(both.data[:, :2] == 1.0) and np.all(both.data[:, 2:] == 2.0)
+    return u @ np.diag(sigma) @ w.T
 
 
 class TestReducedBasis:
@@ -125,6 +85,12 @@ class TestReducedBasis:
 
 
 class TestPodFit:
+    def test_needs_at_least_one_column(self):
+        with pytest.raises(ValueError, match="column"):
+            pod_fit(np.zeros((4, 0)), n=1)
+        with pytest.raises(ValueError, match="column"):
+            pod_fit(np.zeros(4), n=1)
+
     def test_exactly_one_criterion_required(self):
         snaps = snapshots_with_singular_values([2.0, 1.0])
         with pytest.raises(ValueError, match="exactly one"):
@@ -142,8 +108,7 @@ class TestPodFit:
     def test_columns_are_orthonormal_to_tight_tolerance(self):
         rng = np.random.default_rng(7)
         data = rng.standard_normal((30, 12))
-        snaps = SnapshotMatrix(data, ["r"] * 12, np.arange(12.0), np.zeros((12, 1)))
-        basis = pod_fit(snaps, n=5)
+        basis = pod_fit(data, n=5)
         gram = basis.V.T @ basis.V
         assert np.max(np.abs(gram - np.eye(5))) <= 1e-10
 
@@ -170,23 +135,19 @@ class TestPodFit:
         u = random_orthonormal(6, 2, seed=8)
         coeffs = np.random.default_rng(9).standard_normal((2, 5))
         data = u @ coeffs  # rank two by construction
-        snaps = SnapshotMatrix(data, ["r"] * 5, np.arange(5.0), np.zeros((5, 1)))
         with pytest.warns(UserWarning, match="rank"):
-            basis = pod_fit(snaps, n=4)
+            basis = pod_fit(data, n=4)
         assert basis.n == 2
 
     def test_zero_snapshots_rejected(self):
-        snaps = SnapshotMatrix(np.zeros((4, 3)), ["r"] * 3, np.arange(3.0),
-                               np.zeros((3, 1)))
         with pytest.raises(ValueError, match="zero"):
-            pod_fit(snaps, n=1)
+            pod_fit(np.zeros((4, 3)), n=1)
 
     def test_low_rank_data_is_reconstructed_exactly(self):
         u = random_orthonormal(10, 3, seed=10)
         coeffs = np.random.default_rng(11).standard_normal((3, 8))
         data = u @ coeffs
-        snaps = SnapshotMatrix(data, ["r"] * 8, np.arange(8.0), np.zeros((8, 1)))
-        basis = pod_fit(snaps, n=3)
+        basis = pod_fit(data, n=3)
         recon = basis.lift(basis.project(data))
         assert np.max(np.abs(recon - data)) < 1e-12
         # the span matches: the two orthogonal projectors agree
@@ -196,11 +157,10 @@ class TestPodFit:
     def test_center_uses_column_mean_as_offset(self):
         rng = np.random.default_rng(12)
         data = rng.standard_normal((6, 5)) + 3.0
-        snaps = SnapshotMatrix(data, ["r"] * 5, np.arange(5.0), np.zeros((5, 1)))
-        basis = pod_fit(snaps, n=2, center=True)
+        basis = pod_fit(data, n=2, center=True)
         assert np.allclose(basis.offset, data.mean(axis=1), atol=1e-15)
         # centered columns sum to zero, so full reconstruction needs m - 1 modes
-        full = pod_fit(snaps, n=4, center=True)
+        full = pod_fit(data, n=4, center=True)
         recon = full.lift(full.project(data))
         assert np.max(np.abs(recon - data)) < 1e-12
 
@@ -245,8 +205,7 @@ class TestGalerkinROM:
         sys = get_problem("burgers")
         mu = np.array([1.5, 0.02])
         result = integrate(sys, TimeGrid(0.0, 1.0, 50), mu, IntegratorSpec("rk4"))
-        snaps = SnapshotMatrix.from_trajectory(result, mu, "r")
-        basis = pod_fit(snaps, n=3)
+        basis = pod_fit(result.states, n=3)
         rom = GalerkinROM(sys, basis)
         xhat = basis.project(result.final_state)
         jac = rom.jacobian(xhat, 1.0, mu)

@@ -6,7 +6,6 @@ import pytest
 from nirom.core import ParameterDomain
 from nirom.reduction import GalerkinROM, ReducedBasis
 from nirom.sampling import (
-    LhsConfig,
     TrainingSet,
     build_training_set,
     joint_box,
@@ -18,25 +17,6 @@ from nirom.sampling import (
 )
 
 from conftest import DiagonalDecay
-
-
-def unit_cfg(count, dim, rounds=4, seed=0):
-    return LhsConfig(count, np.zeros(dim), np.ones(dim), rounds, seed)
-
-
-class TestLhsConfig:
-    def test_validation(self):
-        with pytest.raises(ValueError, match="count"):
-            unit_cfg(0, 2)
-        with pytest.raises(ValueError, match="candidate round"):
-            LhsConfig(5, np.zeros(2), np.ones(2), candidate_rounds=0)
-        with pytest.raises(ValueError, match="equal length"):
-            LhsConfig(5, np.zeros(2), np.ones(3))
-        with pytest.raises(ValueError, match="lows < highs"):
-            LhsConfig(5, np.array([0.0, 1.0]), np.array([1.0, 1.0]))
-
-    def test_dim_property(self):
-        assert unit_cfg(5, 3).dim == 3
 
 
 class TestLatinDesign:
@@ -57,23 +37,33 @@ class TestLatinDesign:
 
 
 class TestMaximin:
+    def test_rejects_bad_arguments(self):
+        lows, highs = np.zeros(2), np.ones(2)
+        with pytest.raises(ValueError, match="count"):
+            lhs_maximin(0, lows, highs)
+        with pytest.raises(ValueError, match="candidate round"):
+            lhs_maximin(5, lows, highs, candidate_rounds=0)
+        with pytest.raises(ValueError, match="equal length"):
+            lhs_maximin(5, np.zeros(2), np.ones(3))
+        with pytest.raises(ValueError, match="lows < highs"):
+            lhs_maximin(5, np.array([0.0, 1.0]), np.array([1.0, 1.0]))
+
     def test_min_pairwise_distance_hand_value(self):
         pts = np.array([[0.0, 0.0], [3.0, 4.0], [0.0, 1.0]])
         assert min_pairwise_distance(pts) == pytest.approx(1.0, abs=0.0)
         assert min_pairwise_distance(pts[:1]) == float("inf")
 
     def test_same_seed_reproduces_the_design_exactly(self):
-        cfg = LhsConfig(20, np.array([-1.0, 2.0]), np.array([1.0, 5.0]),
-                        candidate_rounds=8, seed=42)
-        a = lhs_maximin(cfg)
-        b = lhs_maximin(cfg)
+        args = (20, np.array([-1.0, 2.0]), np.array([1.0, 5.0]), 8, 42)
+        a = lhs_maximin(*args)
+        b = lhs_maximin(*args)
         assert np.array_equal(a, b)
 
     def test_result_lies_in_the_box_and_stays_latin(self):
         lows = np.array([-2.0, 10.0])
         highs = np.array([2.0, 30.0])
         count = 12
-        pts = lhs_maximin(LhsConfig(count, lows, highs, candidate_rounds=4, seed=3))
+        pts = lhs_maximin(count, lows, highs, candidate_rounds=4, seed=3)
         assert np.all(pts >= lows) and np.all(pts <= highs)
         unit = (pts - lows) / (highs - lows)
         for j in range(2):
@@ -84,8 +74,8 @@ class TestMaximin:
         # the first candidate of every run is the same draw, so the
         # best-of-n score is bounded below by the single-round score
         lows, highs = np.zeros(3), np.ones(3)
-        one = lhs_maximin(LhsConfig(15, lows, highs, candidate_rounds=1, seed=7))
-        many = lhs_maximin(LhsConfig(15, lows, highs, candidate_rounds=32, seed=7))
+        one = lhs_maximin(15, lows, highs, candidate_rounds=1, seed=7)
+        many = lhs_maximin(15, lows, highs, candidate_rounds=32, seed=7)
         assert min_pairwise_distance(many) >= min_pairwise_distance(one)
 
 

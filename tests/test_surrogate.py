@@ -7,7 +7,7 @@ from nirom.core import CapabilityError, TimeGrid, fd_jacobian
 from nirom.integration import IntegratorSpec, TrajectoryResult, integrate
 from nirom.reduction import GalerkinROM, ReducedBasis
 from nirom.regressors import RegressorSpec, fit_arrays
-from nirom.sampling import build_training_set, lhs_maximin, LhsConfig
+from nirom.sampling import build_training_set, lhs_maximin
 from nirom.surrogate import RegressionROM
 
 from conftest import DiagonalDecay
@@ -20,7 +20,7 @@ def fitted_on_velocity(spec, count=220):
     rom = GalerkinROM(sys, basis)
     lows = np.array([-1.5, -1.5, 0.0, 0.5])
     highs = np.array([1.5, 1.5, 1.0, 2.0])
-    points = lhs_maximin(LhsConfig(count, lows, highs, candidate_rounds=2, seed=0))
+    points = lhs_maximin(count, lows, highs, candidate_rounds=2, seed=0)
     data = build_training_set(rom, points, lows, highs)
     from nirom.regressors import fit
 
@@ -87,9 +87,3 @@ class TestRegressionROM:
         assert rom.extrapolation_fraction(traj, np.array([1.0])) == 0.6
         assert rom.extrapolation_fraction(traj, np.array([7.0])) == 1.0
         assert rom.extrapolation_fraction(traj, np.array([2.0])) == 0.6
-
-    def test_label_defaults_to_the_family_label(self):
-        spec = RegressorSpec("knn", {"n_neighbors": 4})
-        sys, basis, model, _ = fitted_on_velocity(spec)
-        assert RegressionROM(sys, basis, model).label == "kNN"
-        assert RegressionROM(sys, basis, model, label="mine").label == "mine"
