@@ -145,7 +145,7 @@ class FittedRegressor:
         raise NotImplementedError
 
     @classmethod
-    def from_payload(cls, spec, lows, highs, output_dim, payload) -> "FittedRegressor":
+    def from_payload(cls, spec, lows, highs, payload) -> "FittedRegressor":
         raise NotImplementedError
 
 
@@ -216,9 +216,7 @@ def load_model(path) -> FittedRegressor:
             payload[tag[1:]] = io.read_block(fh, int(rows), int(cols), path)
             line = fh.readline()
     box = payload.pop("box")
-    model = family_class(spec.family).from_payload(
-        spec, box[0], box[1], output_dim, payload
-    )
-    if model.input_dim != input_dim:
-        raise ValueError(f"{path}: dimension line disagrees with box block")
+    model = family_class(spec.family).from_payload(spec, box[0], box[1], payload)
+    if (model.input_dim, model.output_dim) != (input_dim, output_dim):
+        raise ValueError(f"{path}: dimension line disagrees with the model blocks")
     return model

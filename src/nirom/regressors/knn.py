@@ -38,5 +38,5 @@ class KNNRegressor(FittedRegressor):
         return {"inputs_scaled": self.inputs_scaled.T, "targets": self.targets.T}
 
     @classmethod
-    def from_payload(cls, spec, lows, highs, output_dim, payload):
+    def from_payload(cls, spec, lows, highs, payload):
         return cls(spec, lows, highs, payload["inputs_scaled"].T, payload["targets"].T)

@@ -134,5 +134,5 @@ class SINDyRegressor(FittedRegressor):
         return {"theta": self.theta}
 
     @classmethod
-    def from_payload(cls, spec, lows, highs, output_dim, payload):
+    def from_payload(cls, spec, lows, highs, payload):
         return cls(spec, lows, highs, payload["theta"])

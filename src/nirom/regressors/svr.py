@@ -102,5 +102,5 @@ class SVRRegressor(FittedRegressor):
         return {"inputs_scaled": self.inputs_scaled.T, "beta": self.beta.T}
 
     @classmethod
-    def from_payload(cls, spec, lows, highs, output_dim, payload):
+    def from_payload(cls, spec, lows, highs, payload):
         return cls(spec, lows, highs, payload["inputs_scaled"].T, payload["beta"].T)

@@ -7,14 +7,13 @@ bootstrap samples with a random feature subset per split; boosting fits
 shallow trees to the running residual of a squared-loss stage-wise model.
 A ``max_depth`` of 0 means unlimited depth.
 
-An ensemble packs its trees into one node array: the trees' nodes are
-concatenated, each tree starts at its root offset and every leaf is its
-own left and right child. A prediction moves every (row, tree) pair down
-one level per vectorized step (``<=`` the threshold goes left) until none
-moves, as in QuickScorer (Lucchese et al., SIGIR 2015), then adds the
-leaf values tree by tree in tree order. Saved models keep per-tree
-(feature, threshold, left, right) node blocks, with -1 at leaves, and
-value blocks; self-pointing leaves exist only in memory.
+Each tree keeps its saved (feature, threshold, left, right) node block,
+with -1 at leaves, and its value block. The integrator predicts one row
+per call, so a prediction walks each row down each tree from node 0
+(``<=`` the threshold goes left) over Python lists made from those blocks,
+a few list reads per level. It then adds the leaves' value rows in tree
+order: the forest divides their sum by the tree count, and boosting adds
+``learning_rate`` times each to its base value.
 """
 
 from __future__ import annotations
@@ -60,6 +59,8 @@ def _best_split(U, Y, rows, features, min_leaf):
         if sse[i] < best_sse:
             best_sse = float(sse[i])
             thr = 0.5 * (vals[i] + vals[i + 1])
+            if thr == vals[i + 1]:  # adjacent doubles: keep vals[i + 1] right
+                thr = vals[i]
             best = (f, thr, rows[order[: i + 1]], rows[order[i + 1 :]])
     return best
 
@@ -94,61 +95,74 @@ def build_tree(U, Y, rows, rng, max_depth, min_leaf, n_split_features):
     return np.array(nodes, dtype=float), np.vstack(values)
 
 
+def _walks(trees):
+    """Node blocks as (table row of node 0, feature, threshold, left, right)."""
+    walks, start = [], 0
+    for nodes, _ in trees:
+        feature, left, right = nodes[:, [0, 2, 3]].astype(int).T.tolist()
+        walks.append((start, feature, nodes[:, 1].tolist(), left, right))
+        start += len(nodes)
+    return walks
+
+
+def _leaves(walks, u):
+    """The table row of the leaf that the row ``u`` (a list) reaches in each tree."""
+    out = []
+    for start, feature, threshold, left, right in walks:
+        i = 0
+        while (f := feature[i]) >= 0:
+            i = left[i] if u[f] <= threshold[i] else right[i]
+        out.append(start + i)
+    return out
+
+
 class _TreeEnsemble(FittedRegressor):
-    """Packing, the walk and persistence shared by both ensembles.
+    """The walk, the combine and persistence shared by both ensembles.
 
     ``trees`` holds one (nodes, values) pair per tree in the saved layout.
-    Subclasses add ``fit`` and combine the leaf values in ``_predict_scaled``;
+    A prediction adds the ``head`` rows, each walked as a one-leaf tree, and
+    ``weight`` times each tree's leaf value, and divides by ``divisor``.
     ``_head`` names the (1, n) blocks a subclass saves after ``n_trees``.
     """
 
     differentiable = False
     _head = ()
 
-    def __init__(self, spec, lows, highs, trees):
-        sizes = [len(nodes) for nodes, _ in trees]
-        self.nodes, self.values = map(np.vstack, zip(*trees))
-        super().__init__(spec, lows, highs, self.values.shape[1])
-        self.roots = np.cumsum([0] + sizes[:-1])
-        leaf = self.nodes[:, :1] < 0
-        self.feature = np.where(leaf[:, 0], 0, self.nodes[:, 0]).astype(np.intp)
-        self.threshold = self.nodes[:, 1]
-        # node i moves to step[2 i + (goes left)]; a leaf moves to itself
-        children = self.nodes[:, [3, 2]] + np.repeat(self.roots, sizes)[:, None]
-        here = np.arange(len(self.nodes))[:, None]
-        self.step = np.where(leaf, here, children).astype(np.intp).ravel()
+    def __init__(self, spec, lows, highs, trees, head, weight, divisor):
+        self.trees = trees
+        self.table = np.vstack([*head, weight * np.vstack([v for _, v in trees])])
+        super().__init__(spec, lows, highs, self.table.shape[1])
+        stump = np.array([[_NO_SPLIT, 0.0, _NO_SPLIT, _NO_SPLIT]])
+        self.walks = _walks([(stump, None)] * len(head) + trees)
+        self.divisor = divisor
 
-    def _leaf_values(self, U) -> np.ndarray:
-        """The leaf value each row reaches in each tree, (rows, trees, outputs)."""
-        rows = np.arange(U.shape[0])[:, None]
-        at = np.broadcast_to(self.roots, (U.shape[0], self.roots.size))
-        while True:
-            goes_left = U[rows, self.feature[at]] <= self.threshold[at]
-            moved = self.step[2 * at + goes_left]
-            if (moved == at).all():
-                return self.values[at]
-            at = moved
+    def _predict_scaled(self, U: np.ndarray) -> np.ndarray:
+        rows = [_leaves(self.walks, u) for u in U.tolist()]
+        at = np.array(rows, dtype=np.intp).reshape(-1, len(self.walks)).T
+        # accumulate adds the terms in order; reduce pairs them up when n = 1
+        return np.add.accumulate(self.table[at])[-1] / self.divisor
 
     def payload(self) -> dict:
-        out = {"n_trees": np.array([[float(self.roots.size)]])}
+        out = {"n_trees": np.array([[float(len(self.trees))]])}
         out.update({name: getattr(self, name)[None, :] for name in self._head})
-        ends = [*self.roots[1:], self.nodes.shape[0]]
-        for i, (start, end) in enumerate(zip(self.roots, ends)):
-            out[f"tree{i}_nodes"] = self.nodes[start:end]
-            out[f"tree{i}_values"] = self.values[start:end]
+        for i, (nodes, values) in enumerate(self.trees):
+            out[f"tree{i}_nodes"] = nodes
+            out[f"tree{i}_values"] = values
         return out
 
     @classmethod
-    def from_payload(cls, spec, lows, highs, output_dim, payload):
-        count = int(payload["n_trees"][0, 0])
+    def from_payload(cls, spec, lows, highs, payload):
         trees = [
             (payload[f"tree{i}_nodes"], payload[f"tree{i}_values"])
-            for i in range(count)
+            for i in range(int(payload["n_trees"][0, 0]))
         ]
         return cls(spec, lows, highs, trees, *(payload[k][0] for k in cls._head))
 
 
 class ForestRegressor(_TreeEnsemble):
+    def __init__(self, spec, lows, highs, trees):
+        super().__init__(spec, lows, highs, trees, (), 1.0, len(trees))
+
     @classmethod
     def fit(cls, spec: RegressorSpec, X, Y, lows, highs) -> "ForestRegressor":
         U = scale_to_box(X, lows, highs)
@@ -168,43 +182,28 @@ class ForestRegressor(_TreeEnsemble):
             )
         return cls(spec, lows, highs, trees)
 
-    def _predict_scaled(self, U: np.ndarray) -> np.ndarray:
-        leaves = self._leaf_values(U)
-        acc = leaves[:, 0].copy()
-        for k in range(1, self.roots.size):
-            acc += leaves[:, k]
-        return acc / self.roots.size
-
 
 class BoostingRegressor(_TreeEnsemble):
     _head = ("base_value",)
 
     def __init__(self, spec, lows, highs, trees, base_value):
-        super().__init__(spec, lows, highs, trees)
         self.base_value = np.asarray(base_value, dtype=float)
-        self.learning_rate = float(spec["learning_rate"])
+        self.learning_rate = lr = float(spec["learning_rate"])
+        super().__init__(spec, lows, highs, trees, [self.base_value], lr, 1.0)
 
     @classmethod
     def fit(cls, spec: RegressorSpec, X, Y, lows, highs) -> "BoostingRegressor":
         U = scale_to_box(X, lows, highs)
         Y = np.asarray(Y, dtype=float)
-        rows = np.arange(U.shape[0])
         base = Y.mean(axis=0)
         current = np.tile(base, (U.shape[0], 1))
         lr = float(spec["learning_rate"])
         trees = []
         for _ in range(int(spec["n_learners"])):
-            tree = build_tree(
-                U, Y - current, rows, None, int(spec["max_depth"]), 1, 0
+            nodes, values = build_tree(
+                U, Y - current, np.arange(len(U)), None, int(spec["max_depth"]), 1, 0
             )
-            stage = _TreeEnsemble(spec, lows, highs, [tree])
-            current += lr * stage._leaf_values(U)[:, 0]
-            trees.append(tree)
+            walk = _walks([(nodes, values)])
+            current += lr * values[[_leaves(walk, u)[0] for u in U.tolist()]]
+            trees.append((nodes, values))
         return cls(spec, lows, highs, trees, base)
-
-    def _predict_scaled(self, U: np.ndarray) -> np.ndarray:
-        leaves = self.learning_rate * self._leaf_values(U)
-        acc = np.tile(self.base_value, (U.shape[0], 1))
-        for k in range(self.roots.size):
-            acc += leaves[:, k]
-        return acc

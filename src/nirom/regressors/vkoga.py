@@ -110,7 +110,7 @@ class VKOGARegressor(FittedRegressor):
         }
 
     @classmethod
-    def from_payload(cls, spec, lows, highs, output_dim, payload):
+    def from_payload(cls, spec, lows, highs, payload):
         return cls(
             spec,
             lows,

@@ -341,6 +341,17 @@ class TestBoosting:
         err_large = np.max(np.abs(large.predict_many(X) - Y))
         assert err_large < err_small
 
+    def test_adjacent_doubles_are_split_between_them(self):
+        a = np.nextafter(0.5, 1.0)
+        b = np.nextafter(a, 1.0)  # 0.5 * (a + b) rounds onto b
+        X = np.array([[0.0], [a], [b], [1.0]])
+        Y = np.array([[0.0], [1.0], [2.0], [3.0]])
+        spec = RegressorSpec(
+            "boosting", {"n_learners": 1, "learning_rate": 1.0, "max_depth": 0}
+        )
+        model = fit_arrays(spec, X, Y, lows=np.zeros(1), highs=np.ones(1))
+        assert np.array_equal(model.predict_many(X), Y)
+
     def test_jacobian_unavailable(self):
         X = toy_rows(10, 2, seed=23)
         model = fit_arrays(RegressorSpec("boosting", {"n_learners": 2}), X, X[:, :1])
@@ -348,7 +359,7 @@ class TestBoosting:
             model.jacobian(X[0])
 
 
-class TestPackedWalk:
+class TestRowWalk:
     @settings(max_examples=60, deadline=None)
     @given(
         family=st.sampled_from(["forest", "boosting"]),
@@ -357,14 +368,17 @@ class TestPackedWalk:
         d=st.integers(1, 3),
         depth=st.integers(0, 4),
         constant=st.booleans(),
+        n_out=st.integers(1, 2),
+        n_trees=st.sampled_from([3, 9]),
     )
     def test_matches_a_recursive_walk_of_the_saved_blocks(
-        self, family, seed, m, d, depth, constant
+        self, family, seed, m, d, depth, constant, n_out, n_trees
     ):
         rng = np.random.default_rng(seed)
         X = rng.integers(0, 4, size=(m, d)).astype(float)
-        Y = np.full((m, 2), 0.7) if constant else rng.normal(size=(m, 2))
-        params = {"n_trees": 3} if family == "forest" else {"n_learners": 3}
+        Y = np.full((m, n_out), 0.7) if constant else rng.normal(size=(m, n_out))
+        count_key = "n_trees" if family == "forest" else "n_learners"
+        params = {count_key: n_trees}
         spec = RegressorSpec(family, {**params, "max_depth": depth}, seed=seed)
         model = fit_arrays(spec, X, Y, lows=np.zeros(d), highs=np.full(d, 3.0))
         blocks = model.payload()
@@ -388,6 +402,11 @@ class TestPackedWalk:
             for leaf in leaves:
                 expected += model.learning_rate * leaf
         assert np.array_equal(model._predict_scaled(U), expected)
+        Z = 3.0 * U  # raw rows of the [0, 3] box
+        many = model.predict_many(Z)
+        for z, row in zip(Z, many):
+            assert np.array_equal(model.predict(z), row)
+        assert model.predict_many(np.zeros((0, d))).shape == (0, n_out)
 
 
 class TestSVR:
@@ -445,6 +464,20 @@ class TestPersistence:
             assert np.array_equal(back.predict_many(Q), model.predict_many(Q)), (
                 spec.family
             )
+
+    @pytest.mark.filterwarnings("ignore:svr dual")
+    def test_dims_line_must_match_the_model(self, tmp_path):
+        X = toy_rows(40, 3, seed=28)
+        Y = np.column_stack([X[:, 0], X[:, 1] * X[:, 2]])
+        for spec in self.specs():
+            path = tmp_path / f"{spec.family}.txt"
+            save_model(fit_arrays(spec, X, Y), path)
+            head, dims, rest = path.read_text().split("\n", 2)
+            assert dims == "dims 3 2"
+            for wrong in ("dims 3 5", "dims 4 2"):
+                path.write_text(f"{head}\n{wrong}\n{rest}")
+                with pytest.raises(ValueError, match=f"{spec.family}.txt"):
+                    load_model(path)
 
     def test_non_model_file_is_rejected(self, tmp_path):
         path = tmp_path / "junk.txt"
