@@ -2,9 +2,10 @@
 
 Matrices (snapshots, bases, model payloads) are stored as one header line
 "rows cols" (a model block prefixes it with "@name ") followed by one line
-per column of %.17g doubles, so files round-trip float64 exactly. Small
-key-value metadata uses "key = value" lines. Tables go to CSV with an
-explicit header row.
+per column of %.17g doubles, so files round-trip float64 exactly. A block
+reads back Fortran-ordered; a loaded model holds C-ordered arrays, as the
+fitted model does, and so predicts bit for bit like it. Small key-value
+metadata uses "key = value" lines. Tables go to CSV with a header row.
 """
 
 from __future__ import annotations

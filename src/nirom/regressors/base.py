@@ -6,6 +6,10 @@ distance, kernel or library evaluation, since the coordinates carry
 incommensurate units. Jacobians, where a family has them, are returned
 with the chain-rule factor of that scaling already applied, so they are
 derivatives with respect to the raw inputs.
+
+A family names its saved constructor arrays in ``_saved`` for the shared
+``payload``/``from_payload``; a loaded model holds them C-ordered, as the
+fitted one does, so it predicts bit for bit like the model that was fitted.
 """
 
 from __future__ import annotations
@@ -141,12 +145,21 @@ class FittedRegressor:
 
     # persistence -----------------------------------------------------
 
+    # (block name, whether the file holds the transpose) for each array the
+    # constructor takes after (spec, lows, highs), in argument order
+    _saved = ()
+
     def payload(self) -> dict:
-        raise NotImplementedError
+        return {
+            n: getattr(self, n).T if t else getattr(self, n) for n, t in self._saved
+        }
 
     @classmethod
     def from_payload(cls, spec, lows, highs, payload) -> "FittedRegressor":
-        raise NotImplementedError
+        # C-ordered, as a fit passes them: matrix products sum in an order
+        # that follows the layout, so another layout changes the last bits
+        arrays = (payload[n].T if t else payload[n] for n, t in cls._saved)
+        return cls(spec, lows, highs, *map(np.ascontiguousarray, arrays))
 
 
 def _format_param(v):
@@ -208,7 +221,6 @@ def load_model(path) -> FittedRegressor:
             raise ValueError(f"{path}: not a model file")
         spec = parse_model_line(head[1])
         dims = fh.readline().split()
-        input_dim, output_dim = int(dims[1]), int(dims[2])
         payload = {}
         line = fh.readline()
         while line:
@@ -217,6 +229,6 @@ def load_model(path) -> FittedRegressor:
             line = fh.readline()
     box = payload.pop("box")
     model = family_class(spec.family).from_payload(spec, box[0], box[1], payload)
-    if (model.input_dim, model.output_dim) != (input_dim, output_dim):
-        raise ValueError(f"{path}: dimension line disagrees with the model blocks")
+    if dims != ["dims", str(model.input_dim), str(model.output_dim)]:
+        raise ValueError(f"{path}: {' '.join(dims)!r} disagrees with the model blocks")
     return model

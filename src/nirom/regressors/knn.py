@@ -15,14 +15,14 @@ from .base import FittedRegressor, RegressorSpec, scale_to_box
 
 class KNNRegressor(FittedRegressor):
     differentiable = False
+    _saved = (("inputs_scaled", True), ("targets", True))
 
     def __init__(self, spec, lows, highs, inputs_scaled, targets):
-        targets = np.asarray(targets, dtype=float)
         super().__init__(spec, lows, highs, targets.shape[1])
         self.k = int(spec["n_neighbors"])
         if self.k > inputs_scaled.shape[0]:
             raise ValueError(f"K={self.k} exceeds the {inputs_scaled.shape[0]} rows")
-        self.inputs_scaled = np.asarray(inputs_scaled, dtype=float)
+        self.inputs_scaled = inputs_scaled
         self.targets = targets
 
     @classmethod
@@ -33,10 +33,3 @@ class KNNRegressor(FittedRegressor):
         d = cdist(U, self.inputs_scaled)
         idx = np.argsort(d, axis=1, kind="stable")[:, : self.k]
         return self.targets[idx].mean(axis=1)
-
-    def payload(self) -> dict:
-        return {"inputs_scaled": self.inputs_scaled.T, "targets": self.targets.T}
-
-    @classmethod
-    def from_payload(cls, spec, lows, highs, payload):
-        return cls(spec, lows, highs, payload["inputs_scaled"].T, payload["targets"].T)

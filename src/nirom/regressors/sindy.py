@@ -99,9 +99,9 @@ def stls(Phi: np.ndarray, y: np.ndarray, threshold: float) -> np.ndarray:
 
 class SINDyRegressor(FittedRegressor):
     differentiable = True
+    _saved = (("theta", False),)
 
     def __init__(self, spec, lows, highs, theta):
-        theta = np.asarray(theta, dtype=float)
         super().__init__(spec, lows, highs, theta.shape[1])
         self.theta = theta
         self.terms = library_terms(self.input_dim, int(spec["degree"]))
@@ -129,10 +129,3 @@ class SINDyRegressor(FittedRegressor):
     def active_terms(self, output: int):
         """Indices of surviving library columns for one output component."""
         return np.nonzero(self.theta[:, output])[0]
-
-    def payload(self) -> dict:
-        return {"theta": self.theta}
-
-    @classmethod
-    def from_payload(cls, spec, lows, highs, payload):
-        return cls(spec, lows, highs, payload["theta"])

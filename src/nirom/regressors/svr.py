@@ -61,11 +61,11 @@ def _solve_dual(K: np.ndarray, y: np.ndarray, eps: float, c_box: float) -> np.nd
 
 class SVRRegressor(FittedRegressor):
     differentiable = True
+    _saved = (("inputs_scaled", True), ("beta", True))
 
     def __init__(self, spec, lows, highs, inputs_scaled, beta):
-        beta = np.asarray(beta, dtype=float)
         super().__init__(spec, lows, highs, beta.shape[1])
-        self.inputs_scaled = np.asarray(inputs_scaled, dtype=float)
+        self.inputs_scaled = inputs_scaled
         self.beta = beta
         self.kernel = str(spec["kernel"])
         self.gamma = float(spec["gamma"])
@@ -97,10 +97,3 @@ class SVRRegressor(FittedRegressor):
     @property
     def n_support(self) -> int:
         return int(np.sum(np.any(self.beta != 0.0, axis=1)))
-
-    def payload(self) -> dict:
-        return {"inputs_scaled": self.inputs_scaled.T, "beta": self.beta.T}
-
-    @classmethod
-    def from_payload(cls, spec, lows, highs, payload):
-        return cls(spec, lows, highs, payload["inputs_scaled"].T, payload["beta"].T)

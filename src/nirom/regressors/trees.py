@@ -130,7 +130,8 @@ class _TreeEnsemble(FittedRegressor):
 
     def __init__(self, spec, lows, highs, trees, head, weight, divisor):
         self.trees = trees
-        self.table = np.vstack([*head, weight * np.vstack([v for _, v in trees])])
+        self.table = np.vstack([*head, *(values for _, values in trees)])
+        self.table[len(head) :] *= weight
         super().__init__(spec, lows, highs, self.table.shape[1])
         stump = np.array([[_NO_SPLIT, 0.0, _NO_SPLIT, _NO_SPLIT]])
         self.walks = _walks([(stump, None)] * len(head) + trees)
@@ -152,8 +153,10 @@ class _TreeEnsemble(FittedRegressor):
 
     @classmethod
     def from_payload(cls, spec, lows, highs, payload):
+        # C-ordered copies, as a fit builds them; pop lets each read block go
         trees = [
-            (payload[f"tree{i}_nodes"], payload[f"tree{i}_values"])
+            (np.ascontiguousarray(payload.pop(f"tree{i}_nodes")),
+             np.ascontiguousarray(payload.pop(f"tree{i}_values")))
             for i in range(int(payload["n_trees"][0, 0]))
         ]
         return cls(spec, lows, highs, trees, *(payload[k][0] for k in cls._head))
@@ -162,6 +165,9 @@ class _TreeEnsemble(FittedRegressor):
 class ForestRegressor(_TreeEnsemble):
     def __init__(self, spec, lows, highs, trees):
         super().__init__(spec, lows, highs, trees, (), 1.0, len(trees))
+        # weight 1 keeps the table rows equal to the value blocks: save views
+        ends = np.cumsum([len(v) for _, v in trees])
+        self.trees = [(n, self.table[e - len(v) : e]) for (n, v), e in zip(trees, ends)]
 
     @classmethod
     def fit(cls, spec: RegressorSpec, X, Y, lows, highs) -> "ForestRegressor":

@@ -24,14 +24,14 @@ RESIDUAL_STOP = 1e-12
 
 class VKOGARegressor(FittedRegressor):
     differentiable = True
+    _saved = (("centers_scaled", True), ("alpha", True), ("residual_history", False))
 
     def __init__(self, spec, lows, highs, centers_scaled, alpha, residual_history):
-        alpha = np.asarray(alpha, dtype=float)
         super().__init__(spec, lows, highs, alpha.shape[1])
-        self.centers_scaled = np.asarray(centers_scaled, dtype=float)
+        self.centers_scaled = centers_scaled
         self.alpha = alpha
         self.gamma = float(spec["gamma"])
-        self.residual_history = np.asarray(residual_history, dtype=float)
+        self.residual_history = np.ravel(residual_history)
 
     @classmethod
     def fit(cls, spec: RegressorSpec, X, Y, lows, highs) -> "VKOGARegressor":
@@ -101,21 +101,3 @@ class VKOGARegressor(FittedRegressor):
     @property
     def n_centers(self) -> int:
         return self.centers_scaled.shape[0]
-
-    def payload(self) -> dict:
-        return {
-            "centers_scaled": self.centers_scaled.T,
-            "alpha": self.alpha.T,
-            "residual_history": self.residual_history[None, :],
-        }
-
-    @classmethod
-    def from_payload(cls, spec, lows, highs, payload):
-        return cls(
-            spec,
-            lows,
-            highs,
-            payload["centers_scaled"].T,
-            payload["alpha"].T,
-            payload["residual_history"][0],
-        )

@@ -5,8 +5,11 @@ from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
+from nirom import io
 from nirom.core import CapabilityError, fd_jacobian
 from nirom.regressors import (
+    FAMILY_DEFAULTS,
+    ForestRegressor,
     RegressorSpec,
     fit,
     fit_arrays,
@@ -15,6 +18,7 @@ from nirom.regressors import (
 )
 from nirom.regressors.base import scale_to_box
 from nirom.regressors.sindy import eval_library, library_gradient, library_terms
+from nirom.regressors.trees import build_tree
 from nirom.sampling import TrainingSet
 
 
@@ -38,6 +42,15 @@ def saved_tree_predict(blocks, i, U):
         [walk_saved_tree(blocks[f"tree{i}_nodes"], blocks[f"tree{i}_values"], u)
          for u in U]
     )
+
+
+def held_matrices(model):
+    """The 2-D arrays a model holds as attributes or in lists of tuples."""
+    found = []
+    for val in vars(model).values():
+        for item in val if isinstance(val, list) else [val]:
+            found += item if isinstance(item, tuple) else [item]
+    return [a for a in found if isinstance(a, np.ndarray) and a.ndim == 2]
 
 
 class TestRegressorSpec:
@@ -304,6 +317,32 @@ class TestForest:
         for i in range(3):
             assert blocks[f"tree{i}_nodes"].shape[0] <= 3
 
+    def test_value_blocks_are_views_of_the_table_and_save_as_built(self, tmp_path):
+        X = toy_rows(40, 3, seed=29)
+        Y = np.column_stack([X[:, 0] * X[:, 1], X[:, 2]])
+        lows, highs = np.zeros(3), np.ones(3)
+        U = scale_to_box(X, lows, highs)
+        rng = np.random.default_rng(30)
+        trees = [build_tree(U, Y, rng.integers(0, 40, size=40), rng, 0, 1, 0)
+                 for _ in range(3)]
+        spec = RegressorSpec("forest", {"n_trees": 3})
+        model = ForestRegressor(spec, lows, highs, [(n.copy(), v.copy())
+                                                    for n, v in trees])
+        path = tmp_path / "forest.txt"
+        save_model(model, path)
+        for held in (model, load_model(path)):
+            blocks = held.payload()
+            for i in range(3):
+                assert np.shares_memory(blocks[f"tree{i}_values"], held.table)
+        expected = [("box", np.vstack([lows, highs])), ("n_trees", np.array([[3.0]]))]
+        for i, (nodes, values) in enumerate(trees):
+            expected += [(f"tree{i}_nodes", nodes), (f"tree{i}_values", values)]
+        with open(tmp_path / "blocks.txt", "w") as fh:
+            for name, mat in expected:
+                io.write_block(fh, mat, f"@{name} ")
+        saved_blocks = path.read_text().split("\n", 2)[2]
+        assert saved_blocks == (tmp_path / "blocks.txt").read_text()
+
     def test_jacobian_unavailable(self):
         X = toy_rows(10, 2, seed=19)
         model = fit_arrays(RegressorSpec("forest", {"n_trees": 2}), X, X[:, :1])
@@ -452,7 +491,9 @@ class TestPersistence:
         X = toy_rows(40, 3, seed=26)
         Y = np.column_stack([np.sin(X[:, 0]), X[:, 1] * X[:, 2]])
         Q = toy_rows(15, 3, seed=27)
-        for spec in self.specs():
+        specs = self.specs()
+        assert sorted(spec.family for spec in specs) == sorted(FAMILY_DEFAULTS)
+        for spec in specs:
             model = fit_arrays(spec, X, Y, lows=np.zeros(3), highs=np.ones(3))
             path = tmp_path / f"{spec.family}_{spec.label}.txt"
             save_model(model, path)
@@ -464,6 +505,15 @@ class TestPersistence:
             assert np.array_equal(back.predict_many(Q), model.predict_many(Q)), (
                 spec.family
             )
+            for q in Q:
+                assert np.array_equal(back.predict(q), model.predict(q)), spec.family
+                if model.differentiable:
+                    assert np.array_equal(back.jacobian(q), model.jacobian(q)), (
+                        spec.family
+                    )
+            fitted, loaded = held_matrices(model), held_matrices(back)
+            assert len(loaded) == len(fitted) > 0, spec.family
+            assert all(a.flags.c_contiguous for a in fitted + loaded), spec.family
 
     @pytest.mark.filterwarnings("ignore:svr dual")
     def test_dims_line_must_match_the_model(self, tmp_path):
@@ -474,7 +524,7 @@ class TestPersistence:
             save_model(fit_arrays(spec, X, Y), path)
             head, dims, rest = path.read_text().split("\n", 2)
             assert dims == "dims 3 2"
-            for wrong in ("dims 3 5", "dims 4 2"):
+            for wrong in ("dims 3 5", "dims 4 2", "dims 22", "dims 3 x"):
                 path.write_text(f"{head}\n{wrong}\n{rest}")
                 with pytest.raises(ValueError, match=f"{spec.family}.txt"):
                     load_model(path)
