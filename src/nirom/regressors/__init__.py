@@ -12,6 +12,7 @@ from .base import (
     load_model,
     parse_model_line,
     save_model,
+    scale_to_box,
 )
 from .knn import KNNRegressor
 from .sindy import SINDyRegressor
@@ -29,20 +30,14 @@ _FAMILY_CLASSES = {
 }
 
 
-def family_class(family: str):
-    try:
-        return _FAMILY_CLASSES[family]
-    except KeyError:
-        raise ValueError(f"unknown family {family!r}") from None
-
-
 def fit(spec: RegressorSpec, data: TrainingSet) -> FittedRegressor:
     """Train one regressor on a dataset, scaling by the dataset's box."""
     return fit_arrays(spec, data.inputs, data.targets, data.lows, data.highs)
 
 
 def fit_arrays(spec: RegressorSpec, X, Y, lows=None, highs=None) -> FittedRegressor:
-    """Train from raw arrays; the box defaults to the empirical input range."""
+    """Train from raw arrays; the box defaults to the empirical input range.
+    The family fits on the inputs scaled to the unit cube of that box."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
     if X.shape[0] < 1:
@@ -51,7 +46,8 @@ def fit_arrays(spec: RegressorSpec, X, Y, lows=None, highs=None) -> FittedRegres
         lows = X.min(axis=0)
     if highs is None:
         highs = X.max(axis=0)
-    return family_class(spec.family).fit(spec, X, Y, lows, highs)
+    U = scale_to_box(X, lows, highs)
+    return _FAMILY_CLASSES[spec.family].fit(spec, U, Y, lows, highs)
 
 
 __all__ = [
@@ -64,7 +60,6 @@ __all__ = [
     "SINDyRegressor",
     "SVRRegressor",
     "VKOGARegressor",
-    "family_class",
     "fit",
     "fit_arrays",
     "load_model",

@@ -5,7 +5,9 @@ scales inputs coordinatewise to [0, 1] with the training box before any
 distance, kernel or library evaluation, since the coordinates carry
 incommensurate units. Jacobians, where a family has them, are returned
 with the chain-rule factor of that scaling already applied, so they are
-derivatives with respect to the raw inputs.
+derivatives with respect to the raw inputs. ``fit_arrays`` scales the
+training inputs once and hands each family's ``fit`` the scaled rows.
+``RegressorSpec`` gives each hyperparameter the type of its default.
 
 A family names its saved constructor arrays in ``_saved`` for the shared
 ``payload``/``from_payload``; a loaded model holds them C-ordered, as the
@@ -30,24 +32,50 @@ FAMILY_DEFAULTS = {
     "svr": {"kernel": "rbf", "epsilon": 1e-3, "c_box": 1e3, "gamma": 1.0},
 }
 
-_COUNT_PARAMS = {
-    "n_neighbors", "degree", "max_centers", "n_trees", "min_leaf",
-    "n_learners", "max_depth",
-}
+# an int is a whole number >= 1, or >= 0 for these: max_depth=0 means
+# unlimited depth, n_split_features=0 the automatic count; seeds start at 0
+_ZERO_ALLOWED = {"max_depth", "n_split_features", "seed"}
 _POSITIVE_PARAMS = {"gamma", "learning_rate", "c_box"}
 
+# display labels by family, and by kernel for svr
 _DISPLAY = {
     "knn": "kNN",
     "sindy": "SINDy",
     "vkoga": "VKOGA",
     "forest": "Random forest",
     "boosting": "Boosting",
+    "poly2": "SVR2",
+    "poly3": "SVR3",
+    "rbf": "SVRrbf",
 }
+
+
+def _typed(key: str, default, val):
+    """``val``, a number or its text, as the type of ``default``, range-checked."""
+    if isinstance(default, str):
+        return str(val)
+    try:
+        num = float(val)
+    except (TypeError, ValueError):
+        raise ValueError(f"{key}={val!r}: not a number") from None
+    if isinstance(default, float):
+        if key in _POSITIVE_PARAMS and not num > 0:
+            raise ValueError(f"{key}={val!r}: must be > 0")
+        return num
+    least = 0 if key in _ZERO_ALLOWED else 1
+    if not (num.is_integer() and num >= least):
+        raise ValueError(f"{key}={val!r}: must be a whole number >= {least}")
+    try:
+        return int(val)  # exact for ints and digit text
+    except ValueError:
+        return int(num)  # integral text such as 1e1
 
 
 @dataclass(frozen=True)
 class RegressorSpec:
-    """Family tag plus hyperparameters (missing ones take family defaults)."""
+    """Family tag plus hyperparameters (missing ones take family defaults).
+    Each value, a number or its text, takes the type of its default; one of
+    the wrong kind or out of range raises a ValueError naming the key."""
 
     family: str
     params: dict = field(default_factory=dict)
@@ -60,29 +88,20 @@ class RegressorSpec:
         for key, val in self.params.items():
             if key not in merged:
                 raise ValueError(f"{self.family} has no hyperparameter {key!r}")
-            merged[key] = val
-        for key, val in merged.items():
-            if key in _COUNT_PARAMS and not (key == "max_depth" and val == 0):
-                if int(val) < 1:
-                    raise ValueError(f"{key} must be >= 1")
-            if key in _POSITIVE_PARAMS and not val > 0:
-                raise ValueError(f"{key} must be > 0")
+            merged[key] = _typed(key, merged[key], val)
         if self.family == "svr" and merged["kernel"] not in ("poly2", "poly3", "rbf"):
             raise ValueError(f"unknown svr kernel {merged['kernel']!r}")
-        if self.family == "sindy" and int(merged["degree"]) not in (1, 2):
+        if self.family == "sindy" and merged["degree"] not in (1, 2):
             raise ValueError("sindy library degree must be 1 or 2")
         object.__setattr__(self, "params", merged)
+        object.__setattr__(self, "seed", _typed("seed", 0, self.seed))
 
     def __getitem__(self, key):
         return self.params[key]
 
     @property
     def label(self) -> str:
-        if self.family == "svr":
-            return {"poly2": "SVR2", "poly3": "SVR3", "rbf": "SVRrbf"}[
-                self.params["kernel"]
-            ]
-        return _DISPLAY[self.family]
+        return _DISPLAY[self.params["kernel"] if self.family == "svr" else self.family]
 
 
 def scale_to_box(X, lows, highs) -> np.ndarray:
@@ -126,7 +145,7 @@ class FittedRegressor:
         return self._predict_scaled(self.scale(z)[None, :])[0]
 
     def predict_many(self, Z) -> np.ndarray:
-        Z = np.atleast_2d(self._check_dim(np.asarray(Z, dtype=float)))
+        Z = np.atleast_2d(self._check_dim(Z))
         return self._predict_scaled(self.scale(Z))
 
     def jacobian(self, z) -> np.ndarray:
@@ -162,37 +181,12 @@ class FittedRegressor:
         return cls(spec, lows, highs, *map(np.ascontiguousarray, arrays))
 
 
-def _format_param(v):
-    if isinstance(v, (bool, np.bool_, int, np.integer)):
-        return str(int(v))
-    if isinstance(v, float):
-        return io.format_double(v)
-    return str(v)
-
-
-def _parse_param(s: str):
-    try:
-        return int(s)
-    except ValueError:
-        pass
-    try:
-        return float(s)
-    except ValueError:
-        return s
-
-
 def parse_model_line(line: str) -> RegressorSpec:
-    """'family key=value ... seed=N' -> RegressorSpec (seed is a key like any
-    other); values parse as int, else float, else text."""
+    """'family key=value ... seed=N' -> RegressorSpec. ``seed`` is a key like
+    any other; the values pass as text, and the spec types them."""
     family, *tokens = line.split()
-    params = {}
-    seed = 0
-    for tok in tokens:
-        key, _, val = tok.partition("=")
-        if key == "seed":
-            seed = int(val)
-        else:
-            params[key] = _parse_param(val)
+    params = dict(tok.partition("=")[::2] for tok in tokens)
+    seed = params.pop("seed", 0)
     return RegressorSpec(family, params, seed=seed)
 
 
@@ -200,7 +194,8 @@ def save_model(model: FittedRegressor, path) -> None:
     """Family-tagged plain text: model line, dimension line, payload blocks."""
     spec = model.spec
     params = " ".join(
-        f"{k}={_format_param(v)}" for k, v in sorted(spec.params.items())
+        f"{k}={io.format_double(v) if isinstance(v, float) else v}"
+        for k, v in sorted(spec.params.items())
     )
     with open(path, "w") as fh:
         fh.write(f"family {spec.family} seed={spec.seed} {params}\n")
@@ -208,27 +203,36 @@ def save_model(model: FittedRegressor, path) -> None:
         blocks = {"box": np.vstack([model.input_lows, model.input_highs])}
         blocks.update(model.payload())
         for name, mat in blocks.items():
-            mat = np.atleast_2d(np.asarray(mat, dtype=float))
-            io.write_block(fh, mat, f"@{name} ")
+            io.write_block(fh, np.atleast_2d(mat), f"@{name} ")
 
 
 def load_model(path) -> FittedRegressor:
-    from . import family_class  # local import to avoid a cycle
+    from . import _FAMILY_CLASSES  # local import to avoid a cycle
 
     with open(path) as fh:
         head = fh.readline().split(None, 1)
         if len(head) != 2 or head[0] != "family":
             raise ValueError(f"{path}: not a model file")
-        spec = parse_model_line(head[1])
+        try:
+            spec = parse_model_line(head[1])
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
         dims = fh.readline().split()
         payload = {}
-        line = fh.readline()
-        while line:
+        while (line := fh.readline()).strip():
             tag, rows, cols = line.split()
             payload[tag[1:]] = io.read_block(fh, int(rows), int(cols), path)
-            line = fh.readline()
-    box = payload.pop("box")
-    model = family_class(spec.family).from_payload(spec, box[0], box[1], payload)
+        if fh.read().strip():
+            raise ValueError(f"{path}: data after the last block")
+    try:
+        box = payload.pop("box")
+        model = _FAMILY_CLASSES[spec.family].from_payload(spec, box[0], box[1], payload)
+    except KeyError as exc:
+        raise ValueError(f"{path}: no @{exc.args[0]} block") from None
+    # from_payload may pop what it reads; what is left must be saved blocks
+    unknown = sorted(payload.keys() - model.payload().keys())
+    if unknown:
+        raise ValueError(f"{path}: unknown block @{unknown[0]}")
     if dims != ["dims", str(model.input_dim), str(model.output_dim)]:
         raise ValueError(f"{path}: {' '.join(dims)!r} disagrees with the model blocks")
     return model

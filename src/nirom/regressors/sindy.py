@@ -15,7 +15,7 @@ import warnings
 
 import numpy as np
 
-from .base import FittedRegressor, RegressorSpec, scale_to_box
+from .base import FittedRegressor, RegressorSpec
 
 STLS_MAX_ITER = 20
 RIDGE = 1e-10
@@ -104,19 +104,15 @@ class SINDyRegressor(FittedRegressor):
     def __init__(self, spec, lows, highs, theta):
         super().__init__(spec, lows, highs, theta.shape[1])
         self.theta = theta
-        self.terms = library_terms(self.input_dim, int(spec["degree"]))
+        self.terms = library_terms(self.input_dim, spec["degree"])
         if len(self.terms) != theta.shape[0]:
             raise ValueError("coefficient rows do not match the library size")
 
     @classmethod
-    def fit(cls, spec: RegressorSpec, X, Y, lows, highs) -> "SINDyRegressor":
-        U = scale_to_box(X, lows, highs)
-        Y = np.asarray(Y, dtype=float)
-        terms = library_terms(U.shape[1], int(spec["degree"]))
-        Phi = eval_library(U, terms)
-        lam = float(spec["threshold"])
+    def fit(cls, spec: RegressorSpec, U, Y, lows, highs) -> "SINDyRegressor":
+        Phi = eval_library(U, library_terms(U.shape[1], spec["degree"]))
         theta = np.column_stack(
-            [stls(Phi, Y[:, i], lam) for i in range(Y.shape[1])]
+            [stls(Phi, Y[:, i], spec["threshold"]) for i in range(Y.shape[1])]
         )
         return cls(spec, lows, highs, theta)
 

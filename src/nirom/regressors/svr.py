@@ -5,7 +5,8 @@ thresholding: for beta = alpha - alpha*, minimize
 0.5 beta' K beta - y' beta + eps ||beta||_1 subject to |beta_i| <= C.
 Each coordinate has a closed-form clipped update, so no working-set
 heuristics are needed. Kernels: inhomogeneous polynomial (z'z + 1)^d for
-degrees 2 and 3, and the Gaussian.
+degrees 2 and 3, and the Gaussian. ``kernel_matrix`` and
+``kernel_gradients`` evaluate both, and VKOGA uses their Gaussian.
 """
 
 from __future__ import annotations
@@ -15,10 +16,11 @@ import warnings
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .base import FittedRegressor, RegressorSpec, scale_to_box
+from .base import FittedRegressor, RegressorSpec
 
 MAX_PASSES = 400
 PASS_TOL = 1e-8
+POLY_DEGREE = {"poly2": 2, "poly3": 3}
 
 
 def kernel_matrix(A, B, kernel: str, gamma: float) -> np.ndarray:
@@ -26,15 +28,18 @@ def kernel_matrix(A, B, kernel: str, gamma: float) -> np.ndarray:
     B = np.atleast_2d(B)
     if kernel == "rbf":
         return np.exp(-gamma * cdist(A, B, "sqeuclidean"))
-    deg = {"poly2": 2, "poly3": 3}[kernel]
-    return (A @ B.T + 1.0) ** deg
+    return (A @ B.T + 1.0) ** POLY_DEGREE[kernel]
 
 
-def rbf_gradients(u: np.ndarray, centers: np.ndarray, gamma: float) -> np.ndarray:
-    """Row i: the gradient in u of the Gaussian kernel exp(-gamma |u - c_i|^2)."""
-    diffs = u[None, :] - centers
-    kv = np.exp(-gamma * np.sum(diffs**2, axis=1))
-    return (-2.0 * gamma) * kv[:, None] * diffs
+def kernel_gradients(u, centers, kernel: str, gamma: float) -> np.ndarray:
+    """Row i: the gradient in u of k(u, c_i), the Gaussian exp(-gamma |u - c_i|^2)
+    or the polynomial (u'c_i + 1)^d, for one point u against every center."""
+    if kernel == "rbf":
+        diffs = u[None, :] - centers
+        kv = np.exp(-gamma * np.sum(diffs**2, axis=1))
+        return (-2.0 * gamma) * kv[:, None] * diffs
+    deg = POLY_DEGREE[kernel]
+    return deg * ((centers @ u + 1.0) ** (deg - 1))[:, None] * centers
 
 
 def _solve_dual(K: np.ndarray, y: np.ndarray, eps: float, c_box: float) -> np.ndarray:
@@ -67,16 +72,12 @@ class SVRRegressor(FittedRegressor):
         super().__init__(spec, lows, highs, beta.shape[1])
         self.inputs_scaled = inputs_scaled
         self.beta = beta
-        self.kernel = str(spec["kernel"])
-        self.gamma = float(spec["gamma"])
+        self.kernel, self.gamma = spec["kernel"], spec["gamma"]
 
     @classmethod
-    def fit(cls, spec: RegressorSpec, X, Y, lows, highs) -> "SVRRegressor":
-        U = scale_to_box(X, lows, highs)
-        Y = np.asarray(Y, dtype=float)
-        K = kernel_matrix(U, U, str(spec["kernel"]), float(spec["gamma"]))
-        eps = float(spec["epsilon"])
-        c_box = float(spec["c_box"])
+    def fit(cls, spec: RegressorSpec, U, Y, lows, highs) -> "SVRRegressor":
+        K = kernel_matrix(U, U, spec["kernel"], spec["gamma"])
+        eps, c_box = spec["epsilon"], spec["c_box"]
         beta = np.column_stack(
             [_solve_dual(K, Y[:, i], eps, c_box) for i in range(Y.shape[1])]
         )
@@ -86,12 +87,7 @@ class SVRRegressor(FittedRegressor):
         return kernel_matrix(U, self.inputs_scaled, self.kernel, self.gamma) @ self.beta
 
     def _jacobian_scaled(self, u: np.ndarray) -> np.ndarray:
-        if self.kernel == "rbf":
-            grads = rbf_gradients(u, self.inputs_scaled, self.gamma)
-        else:
-            deg = {"poly2": 2, "poly3": 3}[self.kernel]
-            base = self.inputs_scaled @ u + 1.0
-            grads = deg * (base ** (deg - 1))[:, None] * self.inputs_scaled
+        grads = kernel_gradients(u, self.inputs_scaled, self.kernel, self.gamma)
         return self.beta.T @ grads
 
     @property

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import FittedRegressor, RegressorSpec, scale_to_box
+from .base import FittedRegressor, RegressorSpec
 
 _NO_SPLIT = -1
 
@@ -125,7 +125,6 @@ class _TreeEnsemble(FittedRegressor):
     ``_head`` names the (1, n) blocks a subclass saves after ``n_trees``.
     """
 
-    differentiable = False
     _head = ()
 
     def __init__(self, spec, lows, highs, trees, head, weight, divisor):
@@ -170,20 +169,17 @@ class ForestRegressor(_TreeEnsemble):
         self.trees = [(n, self.table[e - len(v) : e]) for (n, v), e in zip(trees, ends)]
 
     @classmethod
-    def fit(cls, spec: RegressorSpec, X, Y, lows, highs) -> "ForestRegressor":
-        U = scale_to_box(X, lows, highs)
-        Y = np.asarray(Y, dtype=float)
+    def fit(cls, spec: RegressorSpec, U, Y, lows, highs) -> "ForestRegressor":
         m = U.shape[0]
-        seeds = np.random.SeedSequence(spec.seed).spawn(int(spec["n_trees"]))
+        seeds = np.random.SeedSequence(spec.seed).spawn(spec["n_trees"])
         trees = []
         for seq in seeds:
             rng = np.random.default_rng(seq)
             rows = rng.integers(0, m, size=m)
             trees.append(
                 build_tree(
-                    U, Y, rows, rng,
-                    int(spec["max_depth"]), int(spec["min_leaf"]),
-                    int(spec["n_split_features"]),
+                    U, Y, rows, rng, spec["max_depth"], spec["min_leaf"],
+                    spec["n_split_features"],
                 )
             )
         return cls(spec, lows, highs, trees)
@@ -193,21 +189,19 @@ class BoostingRegressor(_TreeEnsemble):
     _head = ("base_value",)
 
     def __init__(self, spec, lows, highs, trees, base_value):
-        self.base_value = np.asarray(base_value, dtype=float)
-        self.learning_rate = lr = float(spec["learning_rate"])
+        self.base_value = base_value
+        self.learning_rate = lr = spec["learning_rate"]
         super().__init__(spec, lows, highs, trees, [self.base_value], lr, 1.0)
 
     @classmethod
-    def fit(cls, spec: RegressorSpec, X, Y, lows, highs) -> "BoostingRegressor":
-        U = scale_to_box(X, lows, highs)
-        Y = np.asarray(Y, dtype=float)
+    def fit(cls, spec: RegressorSpec, U, Y, lows, highs) -> "BoostingRegressor":
         base = Y.mean(axis=0)
         current = np.tile(base, (U.shape[0], 1))
-        lr = float(spec["learning_rate"])
+        lr = spec["learning_rate"]
         trees = []
-        for _ in range(int(spec["n_learners"])):
+        for _ in range(spec["n_learners"]):
             nodes, values = build_tree(
-                U, Y - current, np.arange(len(U)), None, int(spec["max_depth"]), 1, 0
+                U, Y - current, np.arange(len(U)), None, spec["max_depth"], 1, 0
             )
             walk = _walks([(nodes, values)])
             current += lr * values[[_leaves(walk, u)[0] for u in U.tolist()]]

@@ -32,7 +32,7 @@ def dataset_error(model: FittedRegressor, data: TrainingSet) -> float:
 
 def model_size(spec: RegressorSpec) -> float:
     key = _SIZE_KEYS.get(spec.family)
-    return float(spec[key]) if key else float("inf")
+    return spec[key] if key else float("inf")
 
 
 @dataclass

@@ -15,8 +15,8 @@ import warnings
 
 import numpy as np
 
-from .base import FittedRegressor, RegressorSpec, scale_to_box
-from .svr import kernel_matrix, rbf_gradients
+from .base import FittedRegressor, RegressorSpec
+from .svr import kernel_gradients, kernel_matrix
 
 POWER_FLOOR = 1e-13
 RESIDUAL_STOP = 1e-12
@@ -30,18 +30,15 @@ class VKOGARegressor(FittedRegressor):
         super().__init__(spec, lows, highs, alpha.shape[1])
         self.centers_scaled = centers_scaled
         self.alpha = alpha
-        self.gamma = float(spec["gamma"])
+        self.gamma = spec["gamma"]
         self.residual_history = np.ravel(residual_history)
 
     @classmethod
-    def fit(cls, spec: RegressorSpec, X, Y, lows, highs) -> "VKOGARegressor":
-        U = scale_to_box(X, lows, highs)
-        Y = np.asarray(Y, dtype=float)
-        m, n_out = Y.shape
-        gamma = float(spec["gamma"])
-        n_centers = min(int(spec["max_centers"]), m)
+    def fit(cls, spec: RegressorSpec, U, Y, lows, highs) -> "VKOGARegressor":
+        m = Y.shape[0]
+        n_centers = min(spec["max_centers"], m)
 
-        kmat = kernel_matrix(U, U, "rbf", gamma)
+        kmat = kernel_matrix(U, U, "rbf", spec["gamma"])
         newton = np.zeros((m, n_centers))
         power2 = np.ones(m)  # k(x, x) = 1 for the Gaussian kernel
         resid = Y.copy()
@@ -96,7 +93,7 @@ class VKOGARegressor(FittedRegressor):
         return kernel_matrix(U, self.centers_scaled, "rbf", self.gamma) @ self.alpha
 
     def _jacobian_scaled(self, u: np.ndarray) -> np.ndarray:
-        return self.alpha.T @ rbf_gradients(u, self.centers_scaled, self.gamma)
+        return self.alpha.T @ kernel_gradients(u, self.centers_scaled, "rbf", self.gamma)
 
     @property
     def n_centers(self) -> int:

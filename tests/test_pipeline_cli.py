@@ -95,6 +95,7 @@ class TestParseModelLine:
         assert spec["kernel"] == "poly2"
         assert spec["epsilon"] == 0.01
         assert spec["c_box"] == 100
+        assert type(spec["c_box"]) is float
 
     def test_seed_is_split_from_hyperparameters(self):
         spec = parse_model_line("forest n_trees=5 seed=9")
@@ -427,6 +428,15 @@ class TestCli:
         assert main(["run", "--stage", "pod", "--config", str(ini)]) == 2
         err = capsys.readouterr().err
         assert "[config]" in err and "n_trainig" in err
+
+    @pytest.mark.parametrize("line,key", [("vkoga gamma=abc", "gamma"),
+                                          ("forest n_trees=2 seed=-1", "seed")])
+    def test_bad_model_value_exits_with_config_error(self, tmp_path, capsys, line, key):
+        ini = tmp_path / "exp.ini"
+        ini.write_text(f"[experiment]\nproblem = burgers\n\n[models]\nm = {line}\n")
+        assert main(["run", "--stage", "pod", "--config", str(ini)]) == 2
+        err = capsys.readouterr().err
+        assert "[config]" in err and f"{key}=" in err
 
     def test_flags_with_and_without_a_config_file(self, tmp_path, monkeypatch):
         ini = tmp_path / "exp.ini"

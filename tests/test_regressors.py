@@ -14,6 +14,7 @@ from nirom.regressors import (
     fit,
     fit_arrays,
     load_model,
+    parse_model_line,
     save_model,
 )
 from nirom.regressors.base import scale_to_box
@@ -42,6 +43,30 @@ def saved_tree_predict(blocks, i, U):
         [walk_saved_tree(blocks[f"tree{i}_nodes"], blocks[f"tree{i}_values"], u)
          for u in U]
     )
+
+
+def model_blocks(path):
+    """A saved model's model and dims lines, and {block name: block text}."""
+    head, dims, body = path.read_text().split("\n", 2)
+    return f"{head}\n{dims}\n", {
+        chunk.split()[0]: "@" + chunk for chunk in body.split("@")[1:]
+    }
+
+
+# every (family, key) pair, and values of every kind a model line or a
+# caller may give: ints, integral and fractional floats, numeric text, junk
+FAMILY_KEYS = [(f, k) for f, defaults in FAMILY_DEFAULTS.items() for k in defaults]
+ANY_VALUE = st.one_of(
+    st.integers(-3, 600),
+    st.integers(-3, 600).map(float),
+    st.floats(-3.0, 600.0),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.integers(-3, 600).map(str),
+    st.integers(-3, 60).map(lambda i: f"{i}e1"),
+    st.floats(-3.0, 600.0).map(repr),
+    st.sampled_from(["rbf", "poly2", "poly3", "abc", "", "nan", "1_0", "0x10"]),
+    st.text(max_size=4),
+)
 
 
 def held_matrices(model):
@@ -95,6 +120,58 @@ class TestRegressorSpec:
         assert RegressorSpec("boosting").label == "Boosting"
         assert RegressorSpec("svr", {"kernel": "poly2"}).label == "SVR2"
         assert RegressorSpec("svr", {"kernel": "rbf"}).label == "SVRrbf"
+
+    def test_counts_must_be_whole_numbers(self):
+        for family, key, val in (("forest", "n_trees", 2.7), ("knn", "n_neighbors", 2.5),
+                                 ("forest", "n_trees", "2.7"), ("vkoga", "max_centers", "1e-1")):
+            with pytest.raises(ValueError, match=f"{key}.*whole number"):
+                RegressorSpec(family, {key: val})
+        with pytest.raises(ValueError, match="n_trees.*whole number"):
+            parse_model_line("forest n_trees=2.7")
+
+    def test_text_that_is_not_a_number_names_the_key(self):
+        with pytest.raises(ValueError, match="gamma"):
+            RegressorSpec("vkoga", {"gamma": "abc"})
+        with pytest.raises(ValueError, match="threshold"):
+            parse_model_line("sindy threshold=small")
+
+    def test_values_take_the_type_of_the_default(self):
+        spec = parse_model_line("knn n_neighbors=1e1")
+        assert spec["n_neighbors"] == 10 and type(spec["n_neighbors"]) is int
+        spec = RegressorSpec("svr", {"c_box": 100, "epsilon": "0.01", "kernel": "poly2"})
+        assert spec["c_box"] == 100.0 and type(spec["c_box"]) is float
+        assert spec["epsilon"] == 0.01 and type(spec["epsilon"]) is float
+        spec = RegressorSpec("forest", {"n_trees": np.int64(4), "max_depth": 3.0})
+        assert type(spec["n_trees"]) is int and type(spec["max_depth"]) is int
+        assert type(RegressorSpec("vkoga", {"gamma": np.float64(0.5)})["gamma"]) is float
+
+    def test_only_depth_and_feature_count_may_be_zero(self):
+        assert RegressorSpec("forest", {"n_split_features": 0})["n_split_features"] == 0
+        for key in ("n_split_features", "max_depth"):
+            with pytest.raises(ValueError, match=f"{key}.*>= 0"):
+                RegressorSpec("forest", {key: -2})
+        for key in ("n_trees", "min_leaf"):
+            with pytest.raises(ValueError, match=f"{key}.*>= 1"):
+                RegressorSpec("forest", {key: 0})
+
+    def test_seed_is_a_whole_number_at_least_zero(self):
+        assert RegressorSpec("forest", seed="7").seed == 7
+        for seed in (-1, 1.5, "x"):
+            with pytest.raises(ValueError, match="seed"):
+                RegressorSpec("forest", seed=seed)
+        with pytest.raises(ValueError, match="seed"):
+            parse_model_line("forest n_trees=2 seed=-1")
+
+    @settings(max_examples=400, deadline=None)
+    @given(family_key=st.sampled_from(FAMILY_KEYS), val=ANY_VALUE, seed=ANY_VALUE)
+    def test_every_value_is_typed_by_its_default_or_rejected(self, family_key, val, seed):
+        family, key = family_key
+        try:
+            spec = RegressorSpec(family, {key: val}, seed=seed)
+        except ValueError:
+            return
+        assert type(spec[key]) is type(FAMILY_DEFAULTS[family][key])
+        assert type(spec.seed) is int and spec.seed >= 0
 
 
 class TestScaling:
@@ -499,6 +576,9 @@ class TestPersistence:
             save_model(model, path)
             back = load_model(path)
             assert back.spec == model.spec
+            assert type(back.spec.seed) is int
+            for key, val in model.spec.params.items():
+                assert type(back.spec[key]) is type(val), (spec.family, key)
             again = tmp_path / "again.txt"
             save_model(back, again)
             assert again.read_bytes() == path.read_bytes(), spec.family
@@ -528,6 +608,47 @@ class TestPersistence:
                 path.write_text(f"{head}\n{wrong}\n{rest}")
                 with pytest.raises(ValueError, match=f"{spec.family}.txt"):
                     load_model(path)
+
+    @pytest.mark.parametrize("family,missing", [("sindy", "theta"), ("sindy", "box"),
+                                                ("forest", "tree2_values"),
+                                                ("forest", "n_trees")])
+    def test_a_missing_block_is_named(self, tmp_path, family, missing):
+        X = toy_rows(40, 3, seed=29)
+        spec = next(s for s in self.specs() if s.family == family)
+        path = tmp_path / f"{family}.txt"
+        save_model(fit_arrays(spec, X, X[:, :2]), path)
+        head, blocks = model_blocks(path)
+        del blocks[missing]
+        path.write_text(head + "".join(blocks.values()))
+        with pytest.raises(ValueError, match=f"{family}.txt.*@{missing}"):
+            load_model(path)
+
+    @pytest.mark.parametrize("family,extra", [("sindy", "theta2"), ("forest", "tree3_nodes"),
+                                              ("forest", "base_value")])
+    def test_an_unknown_block_is_named(self, tmp_path, family, extra):
+        X = toy_rows(40, 3, seed=30)
+        spec = next(s for s in self.specs() if s.family == family)
+        path = tmp_path / f"{family}.txt"
+        save_model(fit_arrays(spec, X, X[:, :2]), path)
+        with open(path, "a") as fh:
+            fh.write(f"@{extra} 1 2\n0.5\n1.5\n")
+        with pytest.raises(ValueError, match=f"{family}.txt.*@{extra}"):
+            load_model(path)
+
+    @pytest.mark.parametrize("family", ["sindy", "forest"])
+    def test_whitespace_after_the_last_block_loads(self, tmp_path, family):
+        X = toy_rows(40, 3, seed=31)
+        spec = next(s for s in self.specs() if s.family == family)
+        path = tmp_path / f"{family}.txt"
+        model = fit_arrays(spec, X, X[:, :2])
+        save_model(model, path)
+        with open(path, "a") as fh:
+            fh.write("\n  \n\t\n")
+        assert np.array_equal(load_model(path).predict_many(X), model.predict_many(X))
+        with open(path, "a") as fh:
+            fh.write("@theta 1 1\n0.5\n")
+        with pytest.raises(ValueError, match=f"{family}.txt.*after the last block"):
+            load_model(path)
 
     def test_non_model_file_is_rejected(self, tmp_path):
         path = tmp_path / "junk.txt"
