@@ -20,6 +20,7 @@ sampled Lipschitz and regression constants.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import List, Optional
 
 import numpy as np
@@ -80,6 +81,7 @@ def error_series(
     fom: TrajectoryResult,
     galerkin: TrajectoryResult,
     basis: ReducedBasis,
+    lifted_galerkin: Optional[np.ndarray] = None,
 ) -> ErrorSeries:
     """Relative errors of a reduced surrogate trajectory over time.
 
@@ -89,12 +91,16 @@ def error_series(
     of the Galerkin state, not its distance from the offset x_bar, so two
     bases that represent the same pair of full-space trajectories under
     different offsets give the same e_rom. All three trajectories must
-    share one time grid.
+    share one time grid. A caller that compares several surrogates with one
+    Galerkin run passes its `lifted_galerkin = basis.lift(galerkin.states)`
+    to each.
     """
     _require_shared_grid(surrogate, fom, galerkin)
+    if lifted_galerkin is None:
+        lifted_galerkin = basis.lift(galerkin.states)
     lifted = basis.lift(surrogate.states)
     e_fom = relative_series(lifted, fom.states)
-    e_rom = relative_series(lifted, basis.lift(galerkin.states))
+    e_rom = relative_series(lifted, lifted_galerkin)
     return ErrorSeries(
         surrogate.times.copy(),
         e_fom,
@@ -174,33 +180,95 @@ class BoundReport:
         )
 
 
+class PoolBlock:
+    """A block of state columns and their velocities at t = 0, each velocity
+    evaluated the first time it is asked for.
+
+    The velocities fill a preallocated (columns, N) array under a done mask.
+    A block lives as long as its owner: one `sample_lipschitz` call, or one
+    scheme of `stage_report`, whose models share the block of full-order
+    states.
+    """
+
+    def __init__(self, system, mu, states: np.ndarray):
+        self.system = system
+        self.mu = mu
+        self.states = states
+        self._velocities = np.empty(states.shape[::-1])
+        self._done = np.zeros(states.shape[1], dtype=bool)
+
+    @cached_property
+    def peak(self) -> float:
+        return np.abs(self.states).max()
+
+    def velocity(self, j) -> np.ndarray:
+        if not self._done[j]:
+            self._velocities[j] = self.system.velocity(self.states[:, j], 0.0, self.mu)
+            self._done[j] = True
+        return self._velocities[j]
+
+
 def sample_lipschitz(
-    system, mu, state_pool: np.ndarray, n_pairs: int = 1000, seed: int = 0
+    system, mu, state_pool: np.ndarray, n_pairs: int = 1000, seed: int = 0,
+    lead: Optional[PoolBlock] = None,
 ) -> float:
     """Max difference quotient of the velocity at t = 0 over sampled state pairs.
 
     Pairs mix draws from the pooled trajectory columns with small random
-    perturbations of them, which probes both global and local slope.
+    perturbations of them, which probes both global and local slope. The
+    pool is `state_pool`, or `[lead.states | state_pool]` when a block of
+    leading columns, built for the same system and mu, is shared with other
+    calls. Each pool column's velocity is evaluated at most once per call,
+    the first time a pair with a nonzero distance draws it, and a shared
+    block's at most once over all the calls that share it. Perturbed states
+    are evaluated every time. The draws are the same as without the memo,
+    and so is K, bit for bit.
     """
+    own = PoolBlock(system, mu, state_pool)
+    blocks = [own] if lead is None else [lead, own]
+    n_lead = 0 if lead is None else lead.states.shape[1]
+    m = n_lead + state_pool.shape[1]
+
+    def column(j):
+        return (lead, j) if j < n_lead else (own, j - n_lead)
+
     rng = np.random.default_rng(seed)
-    m = state_pool.shape[1]
-    scale = max(np.abs(state_pool).max(), 1.0)
+    scale = max(np.max([b.peak for b in blocks]), 1.0)
     best = 0.0
     for _ in range(n_pairs):
-        x1 = state_pool[:, rng.integers(m)]
+        b1, j1 = column(rng.integers(m))
+        x1 = b1.states[:, j1]
         if rng.uniform() < 0.5:
-            x2 = state_pool[:, rng.integers(m)]
+            b2, j2 = column(rng.integers(m))
+            x2 = b2.states[:, j2]
         else:
+            b2 = None
             x2 = x1 + rng.normal(scale=1e-4 * scale, size=x1.size)
         dx = np.linalg.norm(x1 - x2)
         if dx == 0.0:
             continue
-        df = np.linalg.norm(
-            np.asarray(system.velocity(x1, 0.0, mu))
-            - np.asarray(system.velocity(x2, 0.0, mu))
-        )
-        best = max(best, df / dx)
+        f1 = b1.velocity(j1)
+        f2 = np.asarray(system.velocity(x2, 0.0, mu)) if b2 is None else b2.velocity(j2)
+        best = max(best, np.linalg.norm(f1 - f2) / dx)
     return best
+
+
+class FullOrderTerms:
+    """The parts of a bound that depend on the full-order run alone, for
+    every model of one scheme to share: the full-order states as the leading
+    block of each model's Lipschitz pool, the horizon T and the largest
+    projection defect e_o_inf, each computed once."""
+
+    def __init__(self, system, mu, fom: TrajectoryResult, basis: ReducedBasis):
+        self.pool = PoolBlock(system, mu, fom.states)
+        self.horizon = float(fom.times[-1] - fom.times[0])
+        self._basis = basis
+
+    @cached_property
+    def e_o_inf(self) -> float:
+        states = self.pool.states
+        defect = states - self._basis.lift(self._basis.project(states))
+        return float(np.max(np.linalg.norm(defect, axis=0)))
 
 
 def bound_value(K: float, T: float, e_o_inf: float, e_i0: float, C: float) -> float:
@@ -223,20 +291,26 @@ def evaluate_bound(
     validation_inputs: Optional[np.ndarray] = None,
     validation_targets: Optional[np.ndarray] = None,
     seed: int = 0,
+    fom_terms: Optional[FullOrderTerms] = None,
 ) -> BoundReport:
     """Instantiate the a-priori error bound for one surrogate run.
 
-    The Lipschitz constant is sampled from trajectory states, the
-    regression constant is the largest validation-row error of the model
-    (zero for the exact projected model), and the orthogonal term is the
-    largest projection defect of the full trajectory. Sampled constants
-    can undershoot the true suprema, so `holds` is diagnostic, not a
-    guarantee.
+    The Lipschitz constant is sampled from the pool [full-order states |
+    lifted surrogate states], evaluating each pool column's velocity at
+    most once. The regression constant is the largest validation-row error
+    of the model (zero for the exact projected model), and the orthogonal
+    term is the largest projection defect of the full trajectory. A caller
+    that bounds several models of one scheme passes one `fom_terms`, built
+    from the same system, mu, fom and basis, to all of them: the velocities
+    of the full-order half of the pool are then evaluated once per scheme.
+    Sampled constants can undershoot the true suprema, so `holds` is
+    diagnostic, not a guarantee.
     """
     _require_shared_grid(surrogate, fom)
+    if fom_terms is None:
+        fom_terms = FullOrderTerms(system, mu, fom, basis)
     lifted = basis.lift(surrogate.states)
-    pool = np.hstack([fom.states, lifted])
-    K = sample_lipschitz(system, mu, pool, seed=seed)
+    K = sample_lipschitz(system, mu, lifted, seed=seed, lead=fom_terms.pool)
 
     if validation_inputs is None:
         C = 0.0
@@ -244,12 +318,10 @@ def evaluate_bound(
         preds = model.predict_many(validation_inputs)
         C = float(np.max(np.linalg.norm(preds - validation_targets, axis=1)))
 
-    defect = fom.states - basis.lift(basis.project(fom.states))
-    e_o_inf = float(np.max(np.linalg.norm(defect, axis=0)))
     e_i0 = float(
         np.linalg.norm(surrogate.states[:, 0] - basis.project(fom.states[:, 0]))
     )
-    T = float(fom.times[-1] - fom.times[0])
-    bound = bound_value(K, T, e_o_inf, e_i0, C)
+    e_o_inf = fom_terms.e_o_inf
+    bound = bound_value(K, fom_terms.horizon, e_o_inf, e_i0, C)
     measured = float(np.max(np.linalg.norm(lifted - fom.states, axis=0)))
     return BoundReport(K, C, e_o_inf, e_i0, bound, measured, bool(measured <= bound))

@@ -27,6 +27,7 @@ import numpy as np
 
 from . import io
 from .analysis import (
+    FullOrderTerms,
     ParetoPoint,
     error_series,
     evaluate_bound,
@@ -524,7 +525,10 @@ def stage_report(cfg: ExperimentConfig, art: Artifacts) -> None:
     for scheme in cfg.schemes:
         fom = art.load_trajectory(f"fom_{scheme}", "report", "fom-solve")
         galerkin = art.load_trajectory(f"galerkin_{scheme}", "report", "rom-solve")
-        gal_series = error_series(galerkin, fom, galerkin, basis)
+        lifted_galerkin = basis.lift(galerkin.states)
+        gal_series = error_series(galerkin, fom, galerkin, basis, lifted_galerkin)
+        # shared by every model's bound, and dropped with this scheme
+        fom_terms = FullOrderTerms(system, mu, fom, basis)
 
         rows = [
             (
@@ -541,7 +545,7 @@ def stage_report(cfg: ExperimentConfig, art: Artifacts) -> None:
         for name, model in models.items():
             tag = f"{name}_{scheme}"
             traj = art.load_trajectory(tag, "report", "rom-solve")
-            series = error_series(traj, fom, galerkin, basis)
+            series = error_series(traj, fom, galerkin, basis, lifted_galerkin)
             series.to_csv(art.path("reports", f"errors_{tag}.csv"))
             tau_fom, tau_rom = runtime_ratios(
                 traj.wall_time, fom.wall_time, galerkin.wall_time
@@ -561,7 +565,7 @@ def stage_report(cfg: ExperimentConfig, art: Artifacts) -> None:
             if model.differentiable:
                 report = evaluate_bound(
                     system, mu, fom, traj, basis, model, valid.inputs, valid.targets,
-                    seed=cfg.seed,
+                    seed=cfg.seed, fom_terms=fom_terms,
                 )
                 report.to_keyvalues(art.path("reports", f"bound_{tag}.txt"))
         io.write_csv(

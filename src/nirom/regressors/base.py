@@ -17,6 +17,7 @@ fitted one does, so it predicts bit for bit like the model that was fitted.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+import math
 
 import numpy as np
 
@@ -35,6 +36,8 @@ FAMILY_DEFAULTS = {
 # an int is a whole number >= 1, or >= 0 for these: max_depth=0 means
 # unlimited depth, n_split_features=0 the automatic count; seeds start at 0
 _ZERO_ALLOWED = {"max_depth", "n_split_features", "seed"}
+# a float is finite and >= 0, or > 0 for these: threshold=0 means no
+# sparsification and epsilon=0 no tube
 _POSITIVE_PARAMS = {"gamma", "learning_rate", "c_box"}
 
 # display labels by family, and by kernel for svr
@@ -59,8 +62,10 @@ def _typed(key: str, default, val):
     except (TypeError, ValueError):
         raise ValueError(f"{key}={val!r}: not a number") from None
     if isinstance(default, float):
-        if key in _POSITIVE_PARAMS and not num > 0:
-            raise ValueError(f"{key}={val!r}: must be > 0")
+        positive = key in _POSITIVE_PARAMS
+        if not (math.isfinite(num) and (num > 0 if positive else num >= 0)):
+            bound = "> 0" if positive else ">= 0"
+            raise ValueError(f"{key}={val!r}: must be finite and {bound}")
         return num
     least = 0 if key in _ZERO_ALLOWED else 1
     if not (num.is_integer() and num >= least):
@@ -206,6 +211,19 @@ def save_model(model: FittedRegressor, path) -> None:
             io.write_block(fh, np.atleast_2d(mat), f"@{name} ")
 
 
+def _block_header(line: str, path):
+    """(name, (rows, cols)) of an "@<name> <rows> <cols>" block header."""
+    fields = line.split()
+    if len(fields) == 3 and fields[0].startswith("@"):
+        try:
+            return fields[0][1:], (int(fields[1]), int(fields[2]))
+        except ValueError:
+            pass
+    raise ValueError(
+        f"{path}: bad block header {line.strip()!r}, want '@<name> <rows> <cols>'"
+    )
+
+
 def load_model(path) -> FittedRegressor:
     from . import _FAMILY_CLASSES  # local import to avoid a cycle
 
@@ -220,8 +238,10 @@ def load_model(path) -> FittedRegressor:
         dims = fh.readline().split()
         payload = {}
         while (line := fh.readline()).strip():
-            tag, rows, cols = line.split()
-            payload[tag[1:]] = io.read_block(fh, int(rows), int(cols), path)
+            tag, shape = _block_header(line, path)
+            if tag in payload:
+                raise ValueError(f"{path}: block @{tag} written twice")
+            payload[tag] = io.read_block(fh, *shape, path)
         if fh.read().strip():
             raise ValueError(f"{path}: data after the last block")
     try:

@@ -2,11 +2,13 @@
 
 import itertools
 
+from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
 from nirom.analysis import (
     ParetoPoint,
+    PoolBlock,
     bound_value,
     error_series,
     evaluate_bound,
@@ -202,7 +204,90 @@ class TestPareto:
         assert tau_fom == 0.25 and tau_rom == 0.5
 
 
+def reference_lipschitz(system, mu, state_pool, n_pairs, seed):
+    """The sampling loop without a memo: two velocity calls per pair."""
+    rng = np.random.default_rng(seed)
+    m = state_pool.shape[1]
+    scale = max(np.abs(state_pool).max(), 1.0)
+    best = 0.0
+    for _ in range(n_pairs):
+        x1 = state_pool[:, rng.integers(m)]
+        if rng.uniform() < 0.5:
+            x2 = state_pool[:, rng.integers(m)]
+        else:
+            x2 = x1 + rng.normal(scale=1e-4 * scale, size=x1.size)
+        dx = np.linalg.norm(x1 - x2)
+        if dx == 0.0:
+            continue
+        df = np.linalg.norm(
+            np.asarray(system.velocity(x1, 0.0, mu))
+            - np.asarray(system.velocity(x2, 0.0, mu))
+        )
+        best = max(best, df / dx)
+    return best
+
+
+class Coupled:
+    """A nonlinear velocity of any dimension: dx/dt = -mu x + sin(roll(x)) x."""
+
+    def velocity(self, x, t, mu):
+        return -mu[0] * x + np.sin(np.roll(x, 1)) * x
+
+
+class Counting:
+    """Wraps a system and counts its velocity calls by the exact input."""
+
+    def __init__(self, system):
+        self.system = system
+        self.calls = {}
+
+    def velocity(self, x, t, mu):
+        key = np.ascontiguousarray(x).tobytes()
+        self.calls[key] = self.calls.get(key, 0) + 1
+        return self.system.velocity(x, t, mu)
+
+    def count(self, column):
+        return self.calls.get(np.ascontiguousarray(column).tobytes(), 0)
+
+
+@st.composite
+def pools(draw):
+    """(states, n_lead): pool columns drawn from a few distinct ones, so that
+    columns repeat, and the size of a leading block (0 for none)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, distinct = draw(st.integers(1, 5)), draw(st.integers(1, 6))
+    m = draw(st.integers(1, 12))
+    picks = draw(st.lists(st.integers(0, distinct - 1), min_size=m, max_size=m))
+    size = draw(st.sampled_from([0.1, 1.0, 30.0]))
+    states = size * rng.normal(size=(n, distinct))[:, picks]
+    return states, draw(st.integers(0, m - 1))
+
+
 class TestLipschitzSampling:
+    @settings(max_examples=150, deadline=None)
+    @given(pool=pools(), seeds=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=3),
+           n_pairs=st.integers(0, 80))
+    def test_memo_gives_the_reference_loop_k_bit_for_bit(self, pool, seeds, n_pairs):
+        states, n_lead = pool
+        sys, mu = Coupled(), np.array([0.7])
+        lead = PoolBlock(sys, mu, states[:, :n_lead]) if n_lead else None
+        # the calls share one leading block, as the models of a scheme do
+        for seed in seeds:
+            expect = reference_lipschitz(sys, mu, states, n_pairs, seed)
+            assert sample_lipschitz(sys, mu, states, n_pairs, seed) == expect
+            if lead is not None:
+                K = sample_lipschitz(sys, mu, states[:, n_lead:], n_pairs, seed, lead=lead)
+                assert K == expect
+
+    def test_each_pool_column_is_evaluated_at_most_once(self):
+        pool = np.random.default_rng(3).normal(size=(4, 12))
+        sys, mu = Counting(Coupled()), np.array([0.7])
+        sample_lipschitz(sys, mu, pool, n_pairs=500, seed=0)
+        counts = [sys.count(col) for col in pool.T]
+        assert max(counts) == 1 and sum(counts) == pool.shape[1]
+        # the perturbed states are evaluated each time they are drawn
+        assert sum(sys.calls.values()) > 200
+
     def test_linear_system_quotient_is_bracketed_by_the_spectrum(self):
         sys = DiagonalDecay(rates=(1.0, 2.0))
         mu = np.array([1.3])

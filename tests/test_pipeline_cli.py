@@ -2,12 +2,13 @@
 
 import dataclasses
 from pathlib import Path
+import shutil
 import textwrap
 
 import numpy as np
 import pytest
 
-from nirom import cli
+from nirom import cli, problems
 from nirom.cli import main
 from nirom.core import StageError, TimeGrid
 from nirom.integration import TrajectoryResult
@@ -398,6 +399,41 @@ class TestFullPipeline:
             twin = other / path.relative_to(out)
             assert twin.read_bytes() == path.read_bytes(), path.name
 
+    @pytest.mark.parametrize("copies", [0, 2])
+    def test_report_evaluates_each_fom_column_once_per_scheme(
+        self, tiny_run, tmp_path, monkeypatch, copies
+    ):
+        """Rerun report on a copy of the run with `copies` more differentiable
+        models (copies of sindy): each FOM state's velocity is evaluated at
+        most once for the scheme, and every bound file keeps its bytes."""
+        _, out, cfg = tiny_run
+        twin = tmp_path / "twin"
+        shutil.copytree(out, twin)
+        names = [f"sindy_copy{i}" for i in range(copies)]
+        for name in names:
+            shutil.copy(twin / "models" / "sindy.txt", twin / "models" / f"{name}.txt")
+            for ext in ("txt", "meta"):
+                shutil.copy(twin / "trajectories" / f"sindy_rk4.{ext}",
+                            twin / "trajectories" / f"{name}_rk4.{ext}")
+        models = dict(cfg.models, **{name: cfg.models["sindy"] for name in names})
+        calls = {}
+        raw = problems.Burgers1D.velocity
+
+        def counted(self, x, t, mu):
+            key = np.ascontiguousarray(x).tobytes()
+            calls[key] = calls.get(key, 0) + 1
+            return raw(self, x, t, mu)
+
+        monkeypatch.setattr(problems.Burgers1D, "velocity", counted)
+        run_stage(dataclasses.replace(cfg, out_dir=twin, models=models), "report")
+
+        fom = read_matrix(out / "trajectories" / "fom_rk4.txt")
+        counts = [calls.get(np.ascontiguousarray(col).tobytes(), 0) for col in fom.T]
+        assert max(counts) == 1 and sum(counts) > fom.shape[1] // 2
+        bound = (out / "reports" / "bound_sindy_rk4.txt").read_bytes()
+        for name in ["sindy", *names]:
+            assert (twin / "reports" / f"bound_{name}_rk4.txt").read_bytes() == bound
+
 
 class TestCli:
     def test_missing_config_exits_with_config_error(self, tmp_path, capsys):
@@ -430,7 +466,8 @@ class TestCli:
         assert "[config]" in err and "n_trainig" in err
 
     @pytest.mark.parametrize("line,key", [("vkoga gamma=abc", "gamma"),
-                                          ("forest n_trees=2 seed=-1", "seed")])
+                                          ("forest n_trees=2 seed=-1", "seed"),
+                                          ("sindy threshold=nan", "threshold")])
     def test_bad_model_value_exits_with_config_error(self, tmp_path, capsys, line, key):
         ini = tmp_path / "exp.ini"
         ini.write_text(f"[experiment]\nproblem = burgers\n\n[models]\nm = {line}\n")

@@ -1,7 +1,9 @@
 """Regression families: specs, fit and predict behavior, jacobians,
 pruning and greedy selection diagnostics, and model persistence."""
 
-from hypothesis import given, settings, strategies as st
+import math
+
+from hypothesis import example, given, settings, strategies as st
 import numpy as np
 import pytest
 
@@ -67,6 +69,17 @@ ANY_VALUE = st.one_of(
     st.sampled_from(["rbf", "poly2", "poly3", "abc", "", "nan", "1_0", "0x10"]),
     st.text(max_size=4),
 )
+
+POSITIVE_FLOATS = {"gamma", "learning_rate", "c_box"}
+
+
+def with_nonfinite_float_examples(test):
+    """Add nan and +-inf, as numbers and as text, for every float key."""
+    for family, key in FAMILY_KEYS:
+        if isinstance(FAMILY_DEFAULTS[family][key], float):
+            for val in (math.nan, math.inf, -math.inf, "nan", "inf", "-inf"):
+                test = example(family_key=(family, key), val=val, seed=0)(test)
+    return test
 
 
 def held_matrices(model):
@@ -164,6 +177,7 @@ class TestRegressorSpec:
 
     @settings(max_examples=400, deadline=None)
     @given(family_key=st.sampled_from(FAMILY_KEYS), val=ANY_VALUE, seed=ANY_VALUE)
+    @with_nonfinite_float_examples
     def test_every_value_is_typed_by_its_default_or_rejected(self, family_key, val, seed):
         family, key = family_key
         try:
@@ -172,6 +186,9 @@ class TestRegressorSpec:
             return
         assert type(spec[key]) is type(FAMILY_DEFAULTS[family][key])
         assert type(spec.seed) is int and spec.seed >= 0
+        if isinstance(spec[key], float):
+            assert math.isfinite(spec[key])
+            assert spec[key] > 0 if key in POSITIVE_FLOATS else spec[key] >= 0
 
 
 class TestScaling:
@@ -648,6 +665,27 @@ class TestPersistence:
         with open(path, "a") as fh:
             fh.write("@theta 1 1\n0.5\n")
         with pytest.raises(ValueError, match=f"{family}.txt.*after the last block"):
+            load_model(path)
+
+    @pytest.mark.parametrize("family", ["sindy", "forest"])
+    @pytest.mark.parametrize("edit,message", [
+        pytest.param(lambda block: block.replace("@box 2 3", "@box 2", 1),
+                     "bad block header '@box 2'", id="two-fields"),
+        pytest.param(lambda block: block.replace("@box", "box", 1),
+                     "bad block header 'box 2 3'", id="no-at"),
+        pytest.param(lambda block: block + block, "block @box written twice", id="twice"),
+    ])
+    def test_a_bad_block_header_or_a_repeated_block_is_named(
+        self, tmp_path, family, edit, message
+    ):
+        X = toy_rows(40, 3, seed=32)
+        spec = next(s for s in self.specs() if s.family == family)
+        path = tmp_path / f"{family}.txt"
+        save_model(fit_arrays(spec, X, X[:, :2]), path)
+        head, blocks = model_blocks(path)
+        blocks["box"] = edit(blocks["box"])
+        path.write_text(head + "".join(blocks.values()))
+        with pytest.raises(ValueError, match=f"{family}.txt.*{message}"):
             load_model(path)
 
     def test_non_model_file_is_rejected(self, tmp_path):
