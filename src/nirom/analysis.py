@@ -180,94 +180,68 @@ class BoundReport:
         )
 
 
-class PoolBlock:
-    """A block of state columns and their velocities at t = 0, each velocity
-    evaluated the first time it is asked for.
-
-    The velocities fill a preallocated (columns, N) array under a done mask.
-    A block lives as long as its owner: one `sample_lipschitz` call, or one
-    scheme of `stage_report`, whose models share the block of full-order
-    states.
-    """
-
-    def __init__(self, system, mu, states: np.ndarray):
-        self.system = system
-        self.mu = mu
-        self.states = states
-        self._velocities = np.empty(states.shape[::-1])
-        self._done = np.zeros(states.shape[1], dtype=bool)
-
-    @cached_property
-    def peak(self) -> float:
-        return np.abs(self.states).max()
-
-    def velocity(self, j) -> np.ndarray:
-        if not self._done[j]:
-            self._velocities[j] = self.system.velocity(self.states[:, j], 0.0, self.mu)
-            self._done[j] = True
-        return self._velocities[j]
+def velocity_rows(system, mu, rows: np.ndarray) -> np.ndarray:
+    """The velocities at t = 0 of the states in `rows`, one state per row,
+    from one block call, as contiguous rows."""
+    return np.ascontiguousarray(np.asarray(system.velocity(rows.T, 0.0, mu)).T)
 
 
 def sample_lipschitz(
-    system, mu, state_pool: np.ndarray, n_pairs: int = 1000, seed: int = 0,
-    lead: Optional[PoolBlock] = None,
+    system, mu, rows: np.ndarray, n_pairs: int = 1000, seed: int = 0, lead=None
 ) -> float:
     """Max difference quotient of the velocity at t = 0 over sampled state pairs.
 
-    Pairs mix draws from the pooled trajectory columns with small random
+    Pairs mix draws from the pool, one state per row, with small random
     perturbations of them, which probes both global and local slope. The
-    pool is `state_pool`, or `[lead.states | state_pool]` when a block of
-    leading columns, built for the same system and mu, is shared with other
-    calls. Each pool column's velocity is evaluated at most once per call,
-    the first time a pair with a nonzero distance draws it, and a shared
-    block's at most once over all the calls that share it. Perturbed states
-    are evaluated every time. The draws are the same as without the memo,
-    and so is K, bit for bit.
+    pool is `rows`, or `[lead rows; rows]` when `lead` is a pair (rows,
+    their velocities at t = 0 for the same system and mu) that other calls
+    share. The velocities of `rows` come from one block call before the
+    draws; each perturbed state gets a call of its own.
     """
-    own = PoolBlock(system, mu, state_pool)
-    blocks = [own] if lead is None else [lead, own]
-    n_lead = 0 if lead is None else lead.states.shape[1]
-    m = n_lead + state_pool.shape[1]
-
-    def column(j):
-        return (lead, j) if j < n_lead else (own, j - n_lead)
-
+    velocities = velocity_rows(system, mu, rows)
+    if lead is not None:
+        rows = np.concatenate([lead[0], rows])
+        velocities = np.concatenate([lead[1], velocities])
+    m = rows.shape[0]
     rng = np.random.default_rng(seed)
-    scale = max(np.max([b.peak for b in blocks]), 1.0)
+    scale = max(np.abs(rows).max(), 1.0)
     best = 0.0
     for _ in range(n_pairs):
-        b1, j1 = column(rng.integers(m))
-        x1 = b1.states[:, j1]
-        if rng.uniform() < 0.5:
-            b2, j2 = column(rng.integers(m))
-            x2 = b2.states[:, j2]
-        else:
-            b2 = None
-            x2 = x1 + rng.normal(scale=1e-4 * scale, size=x1.size)
+        i = rng.integers(m)
+        x1 = rows[i]
+        j = rng.integers(m) if rng.uniform() < 0.5 else None
+        x2 = x1 + rng.normal(scale=1e-4 * scale, size=x1.size) if j is None else rows[j]
         dx = np.linalg.norm(x1 - x2)
         if dx == 0.0:
             continue
-        f1 = b1.velocity(j1)
-        f2 = np.asarray(system.velocity(x2, 0.0, mu)) if b2 is None else b2.velocity(j2)
-        best = max(best, np.linalg.norm(f1 - f2) / dx)
+        f2 = np.asarray(system.velocity(x2, 0.0, mu)) if j is None else velocities[j]
+        best = max(best, np.linalg.norm(velocities[i] - f2) / dx)
     return best
 
 
 class FullOrderTerms:
-    """The parts of a bound that depend on the full-order run alone, for
-    every model of one scheme to share: the full-order states as the leading
-    block of each model's Lipschitz pool, the horizon T and the largest
-    projection defect e_o_inf, each computed once."""
+    """One full-order run with its system, mu and basis, and the parts of a
+    bound that depend on it alone, for every model of one scheme to share:
+    the full-order states as rows that lead each model's Lipschitz pool,
+    their velocities from one block call, the horizon T and the largest
+    projection defect e_o_inf, each computed on first use."""
 
     def __init__(self, system, mu, fom: TrajectoryResult, basis: ReducedBasis):
-        self.pool = PoolBlock(system, mu, fom.states)
+        self.system = system
+        self.mu = mu
+        self.fom = fom
+        self.basis = basis
+        self.rows = np.ascontiguousarray(fom.states.T)
         self.horizon = float(fom.times[-1] - fom.times[0])
-        self._basis = basis
+
+    @cached_property
+    def velocities(self) -> np.ndarray:
+        return velocity_rows(self.system, self.mu, self.rows)
 
     @cached_property
     def e_o_inf(self) -> float:
-        states = self.pool.states
-        defect = states - self._basis.lift(self._basis.project(states))
+        states = self.fom.states
+        defect = states - self.basis.lift(self.basis.project(states))
         return float(np.max(np.linalg.norm(defect, axis=0)))
 
 
@@ -282,35 +256,31 @@ def bound_value(K: float, T: float, e_o_inf: float, e_i0: float, C: float) -> fl
 
 
 def evaluate_bound(
-    system,
-    mu,
-    fom: TrajectoryResult,
+    terms: FullOrderTerms,
     surrogate: TrajectoryResult,
-    basis: ReducedBasis,
     model,
     validation_inputs: Optional[np.ndarray] = None,
     validation_targets: Optional[np.ndarray] = None,
     seed: int = 0,
-    fom_terms: Optional[FullOrderTerms] = None,
 ) -> BoundReport:
-    """Instantiate the a-priori error bound for one surrogate run.
+    """Instantiate the a-priori error bound for one surrogate run against
+    the full-order run of `terms`.
 
-    The Lipschitz constant is sampled from the pool [full-order states |
-    lifted surrogate states], evaluating each pool column's velocity at
-    most once. The regression constant is the largest validation-row error
-    of the model (zero for the exact projected model), and the orthogonal
-    term is the largest projection defect of the full trajectory. A caller
-    that bounds several models of one scheme passes one `fom_terms`, built
-    from the same system, mu, fom and basis, to all of them: the velocities
-    of the full-order half of the pool are then evaluated once per scheme.
-    Sampled constants can undershoot the true suprema, so `holds` is
-    diagnostic, not a guarantee.
+    The Lipschitz constant is sampled from the pool [full-order states;
+    lifted surrogate states], with the velocities of each half from one
+    block call: the full-order half once per `terms`, so once per scheme
+    when the models of a scheme share it. The regression constant is the
+    largest validation-row error of the model (zero for the exact projected
+    model), and the orthogonal term is the largest projection defect of the
+    full trajectory. Sampled constants can undershoot the true suprema, so
+    `holds` is diagnostic, not a guarantee.
     """
+    fom, basis = terms.fom, terms.basis
     _require_shared_grid(surrogate, fom)
-    if fom_terms is None:
-        fom_terms = FullOrderTerms(system, mu, fom, basis)
     lifted = basis.lift(surrogate.states)
-    K = sample_lipschitz(system, mu, lifted, seed=seed, lead=fom_terms.pool)
+    K = sample_lipschitz(
+        terms.system, terms.mu, lifted.T, seed=seed, lead=(terms.rows, terms.velocities)
+    )
 
     if validation_inputs is None:
         C = 0.0
@@ -321,7 +291,6 @@ def evaluate_bound(
     e_i0 = float(
         np.linalg.norm(surrogate.states[:, 0] - basis.project(fom.states[:, 0]))
     )
-    e_o_inf = fom_terms.e_o_inf
-    bound = bound_value(K, fom_terms.horizon, e_o_inf, e_i0, C)
+    bound = bound_value(K, terms.horizon, terms.e_o_inf, e_i0, C)
     measured = float(np.max(np.linalg.norm(lifted - fom.states, axis=0)))
-    return BoundReport(K, C, e_o_inf, e_i0, bound, measured, bool(measured <= bound))
+    return BoundReport(K, C, terms.e_o_inf, e_i0, bound, measured, bool(measured <= bound))

@@ -127,6 +127,10 @@ class DynamicalSystem:
     t_final: float
 
     def velocity(self, x: np.ndarray, t: float, mu: np.ndarray) -> np.ndarray:
+        """f(x, t; mu) for one state (dim,). A full-order system that the
+        a-priori bound of `nirom.analysis` is evaluated for also takes a
+        block (dim, B) of state columns at one t and one mu: column j of the
+        result equals the single-state call on column j bit for bit."""
         raise NotImplementedError
 
     def initial_state(self, mu: np.ndarray) -> np.ndarray:

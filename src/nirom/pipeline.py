@@ -150,6 +150,11 @@ class ExperimentConfig:
         for scheme in self.schemes:
             if scheme not in SCHEMES:
                 raise ValueError(f"unknown scheme {scheme!r}")
+        for name in self.models:
+            # names become models/<name>.txt and trajectories/<name>_<scheme>
+            if not name.isidentifier() or name in ("fom", "galerkin"):
+                raise ValueError(f"model name {name!r} must be an identifier other "
+                                 "than fom and galerkin")
         if not self.models:
             self.models = {
                 name: parse_model_line(line)
@@ -564,8 +569,7 @@ def stage_report(cfg: ExperimentConfig, art: Artifacts) -> None:
             points.append(ParetoPoint(name, tau_fom, series.avg_e_fom))
             if model.differentiable:
                 report = evaluate_bound(
-                    system, mu, fom, traj, basis, model, valid.inputs, valid.targets,
-                    seed=cfg.seed, fom_terms=fom_terms,
+                    fom_terms, traj, model, valid.inputs, valid.targets, seed=cfg.seed
                 )
                 report.to_keyvalues(art.path("reports", f"bound_{tag}.txt"))
         io.write_csv(

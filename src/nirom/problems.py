@@ -47,15 +47,16 @@ class Burgers1D(DynamicalSystem):
 
     def velocity(self, x, t, mu) -> np.ndarray:
         _, b = self.domain.check(mu)
-        u = require_finite(np.asarray(x, dtype=float), "state")
+        x = require_finite(np.asarray(x, dtype=float), "state")
+        u = x.reshape(self.dim, -1)
         with np.errstate(over="ignore", invalid="ignore"):
             flux = 0.5 * u * u
             out = np.empty_like(u)
             out[0] = 0.0
             out[1:] = -(flux[1:] - flux[:-1]) / self.dx + 0.02 * np.exp(
-                b * self.xs[1:]
+                b * self.xs[1:, None]
             )
-        return out
+        return out.reshape(x.shape)
 
     def jacobian(self, x, t, mu) -> sp.csr_matrix:
         self.domain.check(mu)
@@ -110,9 +111,8 @@ class ConvDiff2D(DynamicalSystem):
 
     def velocity(self, x, t, mu) -> np.ndarray:
         mu1, mu2 = self.domain.check(mu)
-        u = require_finite(np.asarray(x, dtype=float), "state").reshape(
-            self.n_side, self.n_side
-        )
+        x = require_finite(np.asarray(x, dtype=float), "state")
+        u = x.reshape(self.n_side, self.n_side, -1)
         out = np.zeros_like(u)
         with np.errstate(over="ignore", invalid="ignore"):
             lap = (
@@ -125,9 +125,9 @@ class ConvDiff2D(DynamicalSystem):
             out[1:-1, 1:-1] = (
                 self.mu0 * lap
                 - (self.mu0 * mu1 / mu2) * (np.exp(mu2 * u[1:-1, 1:-1]) - 1.0)
-                + self.forcing[1:-1, 1:-1]
+                + self.forcing[1:-1, 1:-1, None]
             )
-        return out.ravel()
+        return out.reshape(x.shape)
 
     def jacobian(self, x, t, mu) -> sp.csr_matrix:
         mu1, mu2 = self.domain.check(mu)

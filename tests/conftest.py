@@ -20,7 +20,10 @@ class DiagonalDecay(DynamicalSystem):
         return np.ones(self.dim)
 
     def velocity(self, x, t, mu):
-        return -float(np.asarray(mu).ravel()[0]) * self.rates * np.asarray(x, float)
+        """One state (dim,) or a block (dim, B) of state columns."""
+        x = np.asarray(x, float)
+        rates = self.rates.reshape((-1,) + (1,) * (x.ndim - 1))
+        return -float(np.asarray(mu).ravel()[0]) * rates * x
 
     def jacobian(self, x, t, mu):
         return np.diag(-float(np.asarray(mu).ravel()[0]) * self.rates)

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from nirom.analysis import (
+    FullOrderTerms,
     ParetoPoint,
-    PoolBlock,
     bound_value,
     error_series,
     evaluate_bound,
@@ -18,6 +18,7 @@ from nirom.analysis import (
     runtime_ratios,
     sample_lipschitz,
     time_average,
+    velocity_rows,
 )
 from nirom.integration import IntegratorSpec, TrajectoryResult, integrate
 from nirom.io import read_csv, read_keyvalues
@@ -228,26 +229,33 @@ def reference_lipschitz(system, mu, state_pool, n_pairs, seed):
 
 
 class Coupled:
-    """A nonlinear velocity of any dimension: dx/dt = -mu x + sin(roll(x)) x."""
+    """A nonlinear velocity of any dimension: dx/dt = -mu x + sin(roll(x)) x,
+    for one state or a block of state columns."""
 
     def velocity(self, x, t, mu):
-        return -mu[0] * x + np.sin(np.roll(x, 1)) * x
+        return -mu[0] * x + np.sin(np.roll(x, 1, axis=0)) * x
 
 
 class Counting:
-    """Wraps a system and counts its velocity calls by the exact input."""
+    """Wraps a system and counts the states it evaluates by their exact
+    values: each column of a block call, and each single-state call."""
 
     def __init__(self, system):
         self.system = system
-        self.calls = {}
+        self.columns = {}
+        self.single_calls = 0
 
     def velocity(self, x, t, mu):
-        key = np.ascontiguousarray(x).tobytes()
-        self.calls[key] = self.calls.get(key, 0) + 1
+        if np.ndim(x) == 1:
+            self.single_calls += 1
+        else:
+            for col in np.asarray(x).T:
+                key = np.ascontiguousarray(col).tobytes()
+                self.columns[key] = self.columns.get(key, 0) + 1
         return self.system.velocity(x, t, mu)
 
     def count(self, column):
-        return self.calls.get(np.ascontiguousarray(column).tobytes(), 0)
+        return self.columns.get(np.ascontiguousarray(column).tobytes(), 0)
 
 
 @st.composite
@@ -270,29 +278,29 @@ class TestLipschitzSampling:
     def test_memo_gives_the_reference_loop_k_bit_for_bit(self, pool, seeds, n_pairs):
         states, n_lead = pool
         sys, mu = Coupled(), np.array([0.7])
-        lead = PoolBlock(sys, mu, states[:, :n_lead]) if n_lead else None
+        rows = np.ascontiguousarray(states.T)
+        lead = rows[:n_lead], velocity_rows(sys, mu, rows[:n_lead])
         # the calls share one leading block, as the models of a scheme do
         for seed in seeds:
             expect = reference_lipschitz(sys, mu, states, n_pairs, seed)
-            assert sample_lipschitz(sys, mu, states, n_pairs, seed) == expect
-            if lead is not None:
-                K = sample_lipschitz(sys, mu, states[:, n_lead:], n_pairs, seed, lead=lead)
+            assert sample_lipschitz(sys, mu, rows, n_pairs, seed) == expect
+            if n_lead:
+                K = sample_lipschitz(sys, mu, rows[n_lead:], n_pairs, seed, lead=lead)
                 assert K == expect
 
-    def test_each_pool_column_is_evaluated_at_most_once(self):
+    def test_each_pool_column_is_evaluated_exactly_once(self):
         pool = np.random.default_rng(3).normal(size=(4, 12))
         sys, mu = Counting(Coupled()), np.array([0.7])
-        sample_lipschitz(sys, mu, pool, n_pairs=500, seed=0)
-        counts = [sys.count(col) for col in pool.T]
-        assert max(counts) == 1 and sum(counts) == pool.shape[1]
+        sample_lipschitz(sys, mu, pool.T, n_pairs=500, seed=0)
+        assert [sys.count(col) for col in pool.T] == [1] * pool.shape[1]
         # the perturbed states are evaluated each time they are drawn
-        assert sum(sys.calls.values()) > 200
+        assert sys.single_calls > 200
 
     def test_linear_system_quotient_is_bracketed_by_the_spectrum(self):
         sys = DiagonalDecay(rates=(1.0, 2.0))
         mu = np.array([1.3])
         pool = np.random.default_rng(0).uniform(-1.0, 1.0, size=(2, 40))
-        K = sample_lipschitz(sys, mu, pool, n_pairs=1000, seed=0)
+        K = sample_lipschitz(sys, mu, pool.T, n_pairs=1000, seed=0)
         # the true Lipschitz constant is mu * max(rate) = 2.6; sampled
         # difference quotients can only approach it from below
         assert K <= 2.6 + 1e-12
@@ -323,11 +331,14 @@ class TestEvaluateBound:
         self.grid = TimeGrid(0.0, 1.0, 100)
         self.fom = integrate(self.sys, self.grid, self.mu, IntegratorSpec("rk4"))
 
+    def terms(self, basis):
+        return FullOrderTerms(self.sys, self.mu, self.fom, basis)
+
     def test_bound_holds_for_the_projected_model(self):
         basis = ReducedBasis(np.array([[1.0], [0.0]]), np.zeros(2), np.ones(1))
         rom = GalerkinROM(self.sys, basis)
         surrogate = integrate(rom, self.grid, self.mu, IntegratorSpec("rk4"))
-        report = evaluate_bound(self.sys, self.mu, self.fom, surrogate, basis, None)
+        report = evaluate_bound(self.terms(basis), surrogate, None)
         assert report.regression_sup == 0.0
         # dropping the second coordinate leaves its full value as defect
         assert report.e_o_inf == pytest.approx(1.0, abs=1e-12)
@@ -347,7 +358,7 @@ class TestEvaluateBound:
         inputs = np.zeros((3, 4))
         targets = np.array([[0.0, 0.0], [0.3, 0.4], [0.1, 0.0]])
         report = evaluate_bound(
-            self.sys, self.mu, self.fom, surrogate, basis, Offset(),
+            self.terms(basis), surrogate, Offset(),
             validation_inputs=inputs, validation_targets=targets,
         )
         assert report.regression_sup == pytest.approx(0.5, abs=1e-15)
@@ -358,13 +369,13 @@ class TestEvaluateBound:
         other = integrate(self.sys, TimeGrid(0.0, 1.0, 50), self.mu,
                           IntegratorSpec("rk4"))
         with pytest.raises(ValueError, match="time grid"):
-            evaluate_bound(self.sys, self.mu, self.fom, other, basis, None)
+            evaluate_bound(self.terms(basis), other, None)
 
     def test_report_keyvalues_schema(self, tmp_path):
         basis = ReducedBasis(np.eye(2), np.zeros(2), np.ones(2))
         rom = GalerkinROM(self.sys, basis)
         surrogate = integrate(rom, self.grid, self.mu, IntegratorSpec("rk4"))
-        report = evaluate_bound(self.sys, self.mu, self.fom, surrogate, basis, None)
+        report = evaluate_bound(self.terms(basis), surrogate, None)
         path = tmp_path / "bound.txt"
         report.to_keyvalues(path)
         back = read_keyvalues(path)

@@ -117,6 +117,13 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match="scheme"):
             tiny_config(tmp_path, schemes=("leapfrog",))
 
+    @pytest.mark.parametrize("name", ["fom", "galerkin", "../../x", "a b", "2knn", ""])
+    def test_model_names_that_would_clash_with_artifacts_are_rejected(self, tmp_path, name):
+        # fom and galerkin name the reference trajectories a surrogate is scored
+        # against; a non-identifier could reach outside models/ and trajectories/
+        with pytest.raises(ValueError, match=f"model name {name!r}"):
+            tiny_config(tmp_path, models={name: parse_model_line("knn")})
+
     def test_default_models_depend_on_the_problem(self, tmp_path):
         burgers = ExperimentConfig("burgers", (1.8, 0.0232), tmp_path)
         convdiff = ExperimentConfig("convdiff", (9.5, 9.5), tmp_path)
@@ -404,8 +411,9 @@ class TestFullPipeline:
         self, tiny_run, tmp_path, monkeypatch, copies
     ):
         """Rerun report on a copy of the run with `copies` more differentiable
-        models (copies of sindy): each FOM state's velocity is evaluated at
-        most once for the scheme, and every bound file keeps its bytes."""
+        models (copies of sindy): the FOM states' velocities come from one
+        block call for the scheme, no FOM state is evaluated alone, and every
+        bound file keeps its bytes."""
         _, out, cfg = tiny_run
         twin = tmp_path / "twin"
         shutil.copytree(out, twin)
@@ -416,10 +424,11 @@ class TestFullPipeline:
                 shutil.copy(twin / "trajectories" / f"sindy_rk4.{ext}",
                             twin / "trajectories" / f"{name}_rk4.{ext}")
         models = dict(cfg.models, **{name: cfg.models["sindy"] for name in names})
-        calls = {}
+        blocks, singles = {}, {}
         raw = problems.Burgers1D.velocity
 
         def counted(self, x, t, mu):
+            calls = singles if np.ndim(x) == 1 else blocks
             key = np.ascontiguousarray(x).tobytes()
             calls[key] = calls.get(key, 0) + 1
             return raw(self, x, t, mu)
@@ -428,8 +437,8 @@ class TestFullPipeline:
         run_stage(dataclasses.replace(cfg, out_dir=twin, models=models), "report")
 
         fom = read_matrix(out / "trajectories" / "fom_rk4.txt")
-        counts = [calls.get(np.ascontiguousarray(col).tobytes(), 0) for col in fom.T]
-        assert max(counts) == 1 and sum(counts) > fom.shape[1] // 2
+        assert blocks.get(fom.tobytes()) == 1
+        assert all(np.ascontiguousarray(col).tobytes() not in singles for col in fom.T)
         bound = (out / "reports" / "bound_sindy_rk4.txt").read_bytes()
         for name in ["sindy", *names]:
             assert (twin / "reports" / f"bound_{name}_rk4.txt").read_bytes() == bound
@@ -474,6 +483,14 @@ class TestCli:
         assert main(["run", "--stage", "pod", "--config", str(ini)]) == 2
         err = capsys.readouterr().err
         assert "[config]" in err and f"{key}=" in err
+
+    @pytest.mark.parametrize("name", ["fom", "galerkin", "../../x"])
+    def test_clashing_model_name_exits_with_config_error(self, tmp_path, capsys, name):
+        ini = tmp_path / "exp.ini"
+        ini.write_text(f"[experiment]\nproblem = burgers\n\n[models]\n{name} = sindy\n")
+        assert main(["run", "--stage", "pod", "--config", str(ini)]) == 2
+        err = capsys.readouterr().err
+        assert "[config]" in err and f"model name {name!r}" in err
 
     def test_flags_with_and_without_a_config_file(self, tmp_path, monkeypatch):
         ini = tmp_path / "exp.ini"

@@ -1,5 +1,6 @@
 """Benchmark full-order models: velocity fields, Jacobians, boundary handling."""
 
+from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -157,3 +158,34 @@ class TestConvDiff:
         )  # flat profile: laplacian zero at center
         reaction = (self.sys.mu0 * 10.0 / 10.0) * (np.exp(10.0 * 0.1) - 1.0)
         assert v_with[25, 25] == pytest.approx(lap_only - reaction, rel=1e-12)
+
+
+@st.composite
+def blocks(draw):
+    """(system, mu, X): an admissible mu and a block of B random states,
+    either C-ordered or the transpose of contiguous rows."""
+    system = draw(st.sampled_from([Burgers1D(), ConvDiff2D()]))
+    lows, highs = system.domain.lows, system.domain.highs
+    mu = lows + (highs - lows) * np.array(draw(st.lists(
+        st.floats(0.0, 1.0), min_size=lows.size, max_size=lows.size)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    size = draw(st.sampled_from([0.01, 1.0, 10.0]))
+    B = draw(st.integers(1, 7))
+    X = size * rng.normal(size=(system.dim, B))
+    if draw(st.booleans()):
+        X = np.ascontiguousarray(X.T).T
+    return system, mu, X
+
+
+class TestBlockVelocity:
+    @settings(max_examples=60, deadline=None)
+    @given(block=blocks(), t=st.floats(0.0, 2.0))
+    def test_each_column_of_a_block_is_its_single_state_call(self, block, t):
+        system, mu, X = block
+        V = system.velocity(X, t, mu)
+        assert V.shape == X.shape
+        for j in range(X.shape[1]):
+            single = system.velocity(X[:, j].copy(), t, mu)
+            assert single.shape == (system.dim,)
+            # bit for bit, the inflow row and the Dirichlet frame included
+            assert V[:, j].tobytes() == single.tobytes()
