@@ -7,14 +7,7 @@ import sys
 from pathlib import Path
 
 from .core import StageError
-from .pipeline import (
-    SCHEMES,
-    STAGES,
-    ExperimentConfig,
-    load_config,
-    run_pipeline,
-    run_stage,
-)
+from .pipeline import STAGES, ExperimentConfig, load_config, run_pipeline, run_stage
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
@@ -41,12 +34,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = subparsers.add_parser("run", help="run every stage in order")
     _add_common(run)
-    run.add_argument(
-        "--stage",
-        choices=STAGES,
-        default=None,
-        help="run only this stage instead of the whole chain",
-    )
 
     for stage in STAGES:
         sub = subparsers.add_parser(stage, help=f"run the {stage} stage")
@@ -79,27 +66,19 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     command = args.command
-    if command == "verify-dt" and getattr(args, "positional", None):
-        extra = list(args.positional)
-        if extra and extra[0] in ("burgers", "convdiff"):
-            args.problem = extra.pop(0)
-        if extra:
-            scheme = extra.pop(0)
-            if scheme not in SCHEMES:
-                print(f"[verify-dt] unknown scheme {scheme!r}", file=sys.stderr)
-                return 2
-            args.schemes = (scheme,)
-        if extra:
-            print(f"[verify-dt] unexpected arguments {extra}", file=sys.stderr)
-            return 2
+    extra = list(getattr(args, "positional", ()))  # verify-dt's [problem] [scheme]
+    if extra and extra[0] in ("burgers", "convdiff"):
+        args.problem = extra.pop(0)
+    if extra:
+        args.schemes = (extra.pop(0),)
+    if extra:
+        print(f"[verify-dt] unexpected arguments {extra}", file=sys.stderr)
+        return 2
 
     try:
         cfg = _config_from_args(args)
         if command == "run":
-            if args.stage is not None:
-                run_stage(cfg, args.stage)
-            else:
-                run_pipeline(cfg)
+            run_pipeline(cfg)
         else:
             run_stage(cfg, command)
     except StageError as exc:

@@ -50,13 +50,10 @@ class ParameterDomain:
     lows, highs : array_like
         Lower/upper bounds per coordinate, same length, lows < highs
         componentwise.
-    names : tuple of str, optional
-        Coordinate labels used in reports.
     """
 
     lows: np.ndarray
     highs: np.ndarray
-    names: tuple = ()
 
     def __post_init__(self):
         lo = np.atleast_1d(np.asarray(self.lows, dtype=float))
@@ -67,8 +64,6 @@ class ParameterDomain:
             raise ValueError("need lows < highs componentwise")
         object.__setattr__(self, "lows", lo)
         object.__setattr__(self, "highs", hi)
-        if self.names and len(self.names) != lo.size:
-            raise ValueError("names length mismatch")
 
     @property
     def dim(self) -> int:
@@ -117,9 +112,9 @@ class DynamicalSystem:
     """Base class for parameterized ODE systems dx/dt = f(x, t; mu).
 
     Subclasses set ``dim``, ``domain`` and ``t_final`` and implement
-    ``velocity`` and ``initial_state``. ``jacobian`` falls back to central
-    finite differences; override it with an analytic (possibly sparse)
-    version when available.
+    ``velocity`` and ``initial_state``. A backward Euler step with a Newton
+    inner solve also needs ``jacobian(x, t, mu)``, the matrix df/dx (dense
+    or sparse); without it ``integrate`` raises CapabilityError.
     """
 
     dim: int
@@ -135,9 +130,6 @@ class DynamicalSystem:
 
     def initial_state(self, mu: np.ndarray) -> np.ndarray:
         raise NotImplementedError
-
-    def jacobian(self, x: np.ndarray, t: float, mu: np.ndarray):
-        return fd_jacobian(lambda y: self.velocity(y, t, mu), x)
 
     def time_grid(self, num_steps: int) -> TimeGrid:
         return TimeGrid(0.0, self.t_final, num_steps)

@@ -290,7 +290,6 @@ def verify_timestep(
     scheme: str,
     mu,
     counts: Sequence[int] = DEFAULT_STEP_COUNTS,
-    inner: str = "newton",
     tol: float = 1e-10,
     max_inner: int = 50,
 ) -> ConvergenceStudy:
@@ -301,7 +300,7 @@ def verify_timestep(
     whose implicit solves stall are kept in the ladder with infinite error
     so they can never be selected. Selection requires the local pairwise
     order to reach 99% of the nominal order (4 for rk4, 1 for backward
-    Euler).
+    Euler). Backward Euler solves by chord Newton, so needs a ``jacobian``.
     """
     counts = np.asarray(sorted(counts), dtype=int)
     if counts.size < 3:
@@ -309,7 +308,7 @@ def verify_timestep(
     spec = (
         IntegratorSpec("rk4")
         if scheme == "rk4"
-        else IntegratorSpec("backward_euler", inner, tol, max_inner)
+        else IntegratorSpec("backward_euler", "newton", tol, max_inner)
     )
     t_final = model.t_final
     dts = t_final / counts.astype(float)

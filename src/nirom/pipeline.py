@@ -37,7 +37,6 @@ from .analysis import (
 )
 from .core import StageError, TimeGrid
 from .integration import (
-    DEFAULT_STEP_COUNTS,
     IntegratorSpec,
     TrajectoryResult,
     integrate,
@@ -98,11 +97,10 @@ DEFAULT_MODELS = {
 INI_KEYS = {
     "experiment": {"problem": "problem", "test_mu": "test_mu", "output": "out_dir",
                    "seed": "seed"},
-    "pod": {"energy": "pod_energy", "max_modes": "pod_max_modes", "n": "pod_n",
-            "center": "pod_center"},
+    "pod": {"energy": "pod_energy", "max_modes": "pod_max_modes", "center": "pod_center"},
     "sampling": {k: k for k in ("n_training", "n_validation", "candidate_rounds")},
-    "integration": {k: k for k in ("schemes", "step_counts", "newton_tol",
-                                   "fixed_point_tol", "max_inner")},
+    "integration": {k: k for k in ("schemes", "newton_tol", "fixed_point_tol",
+                                   "max_inner")},
     "pipeline": {k: k for k in ("train_workers", "solve_workers")},
 }
 _NT_KEYS = {f"nt_{scheme}": scheme for scheme in SCHEMES}
@@ -114,6 +112,7 @@ class ExperimentConfig:
 
     ``test_mu`` and ``out_dir`` default to the problem's DEFAULT_TEST_MU and
     runs/<problem>; an empty ``models`` means the problem's DEFAULT_MODELS.
+    A value out of range raises a ValueError that names its field.
     """
 
     problem: str = "burgers"
@@ -122,13 +121,11 @@ class ExperimentConfig:
     seed: int = 0
     pod_energy: float = 0.9999
     pod_max_modes: int = 20
-    pod_n: Optional[int] = None
     pod_center: bool = True
     n_training: int = DEFAULT_N_TRAINING
     n_validation: int = DEFAULT_N_VALIDATION
     candidate_rounds: int = DEFAULT_CANDIDATE_ROUNDS
     schemes: Tuple[str, ...] = SCHEMES
-    step_counts: Tuple[int, ...] = DEFAULT_STEP_COUNTS
     nt_override: Dict[str, int] = field(default_factory=dict)
     newton_tol: float = 1e-9
     fixed_point_tol: float = 1e-2
@@ -147,9 +144,25 @@ class ExperimentConfig:
         self.out_dir = Path(self.out_dir)
         self.test_mu = tuple(float(v) for v in self.test_mu)
         get_problem(self.problem).domain.check(np.array(self.test_mu))
-        for scheme in self.schemes:
+        for scheme in (*self.schemes, *self.nt_override):
             if scheme not in SCHEMES:
-                raise ValueError(f"unknown scheme {scheme!r}")
+                raise ValueError(f"unknown scheme {scheme!r} in schemes or nt_override")
+        for name, least in (("seed", 0), ("pod_max_modes", 1), ("n_training", 1),
+                            ("n_validation", 1), ("candidate_rounds", 1)):
+            if not getattr(self, name) >= least:
+                raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)!r}")
+        if not 0.0 < self.pod_energy <= 1.0:
+            raise ValueError(f"pod_energy must lie in (0, 1], got {self.pod_energy!r}")
+        for scheme, nt in self.nt_override.items():
+            try:  # TimeGrid checks the step count
+                TimeGrid(0.0, 1.0, nt)
+            except ValueError as exc:
+                raise ValueError(f"nt_{scheme} = {nt}: {exc}") from None
+        for tol, newton in (("newton_tol", True), ("fixed_point_tol", False)):
+            try:  # IntegratorSpec checks the tolerance and max_inner
+                _integrator_for(self, "backward_euler", newton)
+            except ValueError as exc:
+                raise ValueError(f"{tol} or max_inner: {exc}") from None
         for name in self.models:
             # names become models/<name>.txt and trajectories/<name>_<scheme>
             if not name.isidentifier() or name in ("fom", "galerkin"):
@@ -178,10 +191,14 @@ def _parse_value(hint, text: str):
 
 
 def _read_ini(path) -> dict:
-    """The ExperimentConfig fields an INI file sets; unknown names raise."""
-    parser = configparser.ConfigParser()
-    if not parser.read(path):
-        raise FileNotFoundError(f"config file {path} not found")
+    """The ExperimentConfig fields an INI file sets (`%` is literal); unknown
+    names and malformed files raise."""
+    parser = configparser.ConfigParser(interpolation=None)
+    try:
+        if not parser.read(path):
+            raise FileNotFoundError(f"config file {path} not found")
+    except configparser.Error as exc:
+        raise ValueError(f"{path}: {exc}") from None
     hints = typing.get_type_hints(ExperimentConfig)
     settings: dict = {}
     unknown = []
@@ -325,8 +342,6 @@ def stage_verify_dt(cfg: ExperimentConfig, art: Artifacts) -> None:
             system,
             scheme,
             np.array(cfg.test_mu),
-            counts=cfg.step_counts,
-            inner="newton",
             tol=cfg.newton_tol,
             max_inner=cfg.max_inner,
         )
@@ -385,11 +400,9 @@ def _load_corners(art: Artifacts, needed_by: str) -> list:
 
 def stage_pod(cfg: ExperimentConfig, art: Artifacts) -> None:
     corners = _load_corners(art, "pod")
-    energy = cfg.pod_energy if cfg.pod_n is None else None
     basis = pod_fit(
         np.hstack(corners),
-        n=cfg.pod_n,
-        energy=energy,
+        energy=cfg.pod_energy,
         max_modes=cfg.pod_max_modes,
         center=cfg.pod_center,
     )
@@ -397,7 +410,7 @@ def stage_pod(cfg: ExperimentConfig, art: Artifacts) -> None:
         art.path("basis", "V.txt"),
         art.path("basis", "meta.txt"),
         {
-            "energy": "" if energy is None else io.format_double(energy),
+            "energy": io.format_double(cfg.pod_energy),
             "source_runs": " ".join(f"corner_{j}" for j in range(len(corners))),
         },
     )

@@ -33,7 +33,7 @@ class Burgers1D(DynamicalSystem):
     name = "burgers"
     dim = 501
     t_final = 25.0
-    domain = ParameterDomain([1.5, 0.02], [2.0, 0.025], names=("a", "b"))
+    domain = ParameterDomain([1.5, 0.02], [2.0, 0.025])
 
     def __init__(self):
         self.dx = 100.0 / (self.dim - 1)
@@ -82,7 +82,7 @@ class ConvDiff2D(DynamicalSystem):
     dim = n_side * n_side
     t_final = 2.0
     mu0 = 0.01
-    domain = ParameterDomain([9.0, 9.0], [10.0, 10.0], names=("mu1", "mu2"))
+    domain = ParameterDomain([9.0, 9.0], [10.0, 10.0])
 
     def __init__(self):
         n = self.n_side

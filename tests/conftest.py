@@ -12,7 +12,7 @@ class DiagonalDecay(DynamicalSystem):
     def __init__(self, rates=(1.0, 2.0), t_final=1.0):
         self.rates = np.asarray(rates, dtype=float)
         self.dim = self.rates.size
-        self.domain = ParameterDomain([0.5], [2.0], names=("mu",))
+        self.domain = ParameterDomain([0.5], [2.0])
         self.t_final = t_final
 
     def initial_state(self, mu):
@@ -36,7 +36,7 @@ class SoftSaturation(DynamicalSystem):
     """dx/dt = -x + 0.2*tanh(x) + 0.1*sin(t); smooth, contractive, nonlinear."""
 
     dim = 2
-    domain = ParameterDomain([0.5], [2.0], names=("mu",))
+    domain = ParameterDomain([0.5], [2.0])
     t_final = 1.0
 
     def initial_state(self, mu):

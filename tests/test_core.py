@@ -33,8 +33,6 @@ class TestParameterDomain:
             ParameterDomain([1.0], [1.0])
         with pytest.raises(ValueError):
             ParameterDomain([0.0, 0.0], [1.0])
-        with pytest.raises(ValueError):
-            ParameterDomain([0.0], [1.0], names=("a", "b"))
 
     def test_corners_order_and_count(self):
         box = ParameterDomain([0.0, 10.0], [1.0, 20.0])

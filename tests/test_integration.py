@@ -8,6 +8,8 @@ from nirom.core import (
     CapabilityError,
     ConvergenceError,
     DivergenceError,
+    DynamicalSystem,
+    ParameterDomain,
     TimeGrid,
 )
 from nirom.integration import (
@@ -170,6 +172,24 @@ class TestBackwardEulerStep:
     def test_newton_without_jacobian_is_a_capability_error(self):
         with pytest.raises(CapabilityError, match="jacobian"):
             integrate(NoJacobian(decay(1.0)), TimeGrid(0.0, 0.1, 1), MU, NEWTON)
+
+    def test_system_subclass_without_jacobian_cannot_take_a_newton_step(self):
+        # DynamicalSystem has no finite-difference fallback: a subclass that
+        # defines no jacobian runs fixed point, never Newton
+        class VelocityOnly(DynamicalSystem):
+            dim, t_final = 1, 0.1
+            domain = ParameterDomain([0.5], [2.0])
+
+            def velocity(self, x, t, mu):
+                return -mu[0] * np.asarray(x)
+
+            def initial_state(self, mu):
+                return np.ones(1)
+
+        with pytest.raises(CapabilityError, match="jacobian"):
+            integrate(VelocityOnly(), TimeGrid(0.0, 0.1, 1), MU, NEWTON)
+        fixed = IntegratorSpec("backward_euler", "fixed_point", 1e-12)
+        assert integrate(VelocityOnly(), TimeGrid(0.0, 0.1, 1), MU, fixed).n_inner_total > 0
 
     def test_unknown_inner_rejected(self):
         with pytest.raises(ValueError, match="newton or fixed_point"):

@@ -35,7 +35,7 @@ def tiny_config(out_dir, **over):
         test_mu=(1.8, 0.0232),
         out_dir=out_dir,
         seed=0,
-        pod_n=10,
+        pod_max_modes=10,
         n_training=150,
         n_validation=50,
         candidate_rounds=2,
@@ -64,7 +64,7 @@ def tiny_run(tmp_path_factory):
         seed = 0
 
         [pod]
-        n = 10
+        max_modes = 10
 
         [sampling]
         n_training = 150
@@ -136,6 +136,26 @@ class TestExperimentConfig:
                 "svr2", "svr3", "svrrbf",
             }
 
+    @pytest.mark.parametrize("field,value,named", [
+        ("seed", -1, "seed"),
+        ("nt_override", {"rk4": 0}, "nt_rk4"),
+        ("nt_override", {"leapfrog": 5}, "leapfrog.*nt_override"),
+        ("n_training", 0, "n_training"),
+        ("n_validation", 0, "n_validation"),
+        ("pod_energy", 2.0, "pod_energy"),
+        ("pod_energy", 0.0, "pod_energy"),
+        ("pod_max_modes", 0, "pod_max_modes"),
+        ("candidate_rounds", 0, "candidate_rounds"),
+        ("newton_tol", 0.0, "newton_tol"),
+        ("fixed_point_tol", -1.0, "fixed_point_tol"),
+        ("max_inner", 0, "max_inner"),
+    ])
+    def test_out_of_range_settings_are_rejected_by_name(self, tmp_path, field, value, named):
+        # each would pass until a later stage, or, for an unknown scheme's
+        # step count, never be read
+        with pytest.raises(ValueError, match=named):
+            tiny_config(tmp_path, **{field: value})
+
     def test_default_config_paths(self):
         cfg = ExperimentConfig("convdiff", seed=3)
         assert cfg.test_mu == (9.5, 9.5)
@@ -159,7 +179,6 @@ class TestLoadConfig:
             seed = 7
 
             [pod]
-            n = 5
             max_modes = 9
             center = false
 
@@ -170,7 +189,6 @@ class TestLoadConfig:
 
             [integration]
             schemes = rk4
-            step_counts = 25 50 100
             newton_tol = 1e-8
             fixed_point_tol = 0.05
             max_inner = 30
@@ -188,12 +206,11 @@ class TestLoadConfig:
         assert cfg.problem == "burgers"
         assert cfg.test_mu == (1.5, 0.022)
         assert cfg.seed == 7
-        assert cfg.pod_n == 5 and cfg.pod_max_modes == 9
+        assert cfg.pod_max_modes == 9
         assert cfg.pod_center is False
         assert cfg.n_training == 80 and cfg.n_validation == 20
         assert cfg.candidate_rounds == 3
         assert cfg.schemes == ("rk4",)
-        assert cfg.step_counts == (25, 50, 100)
         assert cfg.newton_tol == 1e-8
         assert cfg.fixed_point_tol == 0.05
         assert cfg.max_inner == 30
@@ -228,6 +245,11 @@ class TestLoadConfig:
         ini.write_text("[experiment]\nproblem = burgers\n\n[pod]\ncenter = maybe\n")
         with pytest.raises(ValueError, match=r"\[pod\] center"):
             load_config(ini)
+
+    def test_percent_sign_is_literal(self, tmp_path):
+        ini = tmp_path / "exp.ini"
+        ini.write_text("[experiment]\nproblem = burgers\noutput = runs/100%x\n")
+        assert load_config(ini).out_dir == Path("runs/100%x")
 
     def test_one_key_keeps_the_dataclass_defaults_for_the_rest(self, tmp_path):
         ini = tmp_path / "exp.ini"
@@ -470,9 +492,29 @@ class TestCli:
         ini = tmp_path / "exp.ini"
         ini.write_text(BAD_KEYS_INI)
         # one stage: were the file accepted, a bare `run` would start the whole chain
-        assert main(["run", "--stage", "pod", "--config", str(ini)]) == 2
+        assert main(["pod", "--config", str(ini)]) == 2
         err = capsys.readouterr().err
         assert "[config]" in err and "n_trainig" in err
+
+    @pytest.mark.parametrize("text", [
+        "[experiment]\nproblem = burgers\nno equals sign\n",
+        "[experiment]\nproblem = burgers\n\n[experiment]\nseed = 1\n",
+        "problem = burgers\n",
+        "[experiment]\nproblem = burgers\n\n[models]\nKNN = knn\nknn = knn\n",
+    ])
+    def test_malformed_file_exits_with_config_error(self, tmp_path, capsys, text):
+        ini = tmp_path / "exp.ini"
+        ini.write_text(text)
+        assert main(["pod", "--config", str(ini)]) == 2
+        err = capsys.readouterr().err
+        assert "[config]" in err and str(ini) in err and "Traceback" not in err
+
+    def test_out_of_range_value_exits_with_config_error(self, tmp_path, capsys):
+        ini = tmp_path / "exp.ini"
+        ini.write_text("[experiment]\nproblem = burgers\nseed = -1\n")
+        assert main(["pod", "--config", str(ini)]) == 2
+        err = capsys.readouterr().err
+        assert "[config]" in err and "seed" in err
 
     @pytest.mark.parametrize("line,key", [("vkoga gamma=abc", "gamma"),
                                           ("forest n_trees=2 seed=-1", "seed"),
@@ -480,7 +522,7 @@ class TestCli:
     def test_bad_model_value_exits_with_config_error(self, tmp_path, capsys, line, key):
         ini = tmp_path / "exp.ini"
         ini.write_text(f"[experiment]\nproblem = burgers\n\n[models]\nm = {line}\n")
-        assert main(["run", "--stage", "pod", "--config", str(ini)]) == 2
+        assert main(["pod", "--config", str(ini)]) == 2
         err = capsys.readouterr().err
         assert "[config]" in err and f"{key}=" in err
 
@@ -488,7 +530,7 @@ class TestCli:
     def test_clashing_model_name_exits_with_config_error(self, tmp_path, capsys, name):
         ini = tmp_path / "exp.ini"
         ini.write_text(f"[experiment]\nproblem = burgers\n\n[models]\n{name} = sindy\n")
-        assert main(["run", "--stage", "pod", "--config", str(ini)]) == 2
+        assert main(["pod", "--config", str(ini)]) == 2
         err = capsys.readouterr().err
         assert "[config]" in err and f"model name {name!r}" in err
 
@@ -521,9 +563,10 @@ class TestCli:
 
     def test_unknown_stage_flag_is_an_argparse_error(self):
         with pytest.raises(SystemExit):
-            main(["run", "--stage", "deploy"])
+            main(["deploy"])
+        with pytest.raises(SystemExit):  # one stage is `nirom <stage>`
+            main(["run", "--stage", "pod"])
 
     def test_single_stage_reruns_cleanly_from_the_cli(self, tiny_run):
         ini, _, _ = tiny_run
         assert main(["report", "--config", str(ini)]) == 0
-        assert main(["run", "--stage", "report", "--config", str(ini)]) == 0
