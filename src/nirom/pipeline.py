@@ -144,6 +144,8 @@ class ExperimentConfig:
         self.out_dir = Path(self.out_dir)
         self.test_mu = tuple(float(v) for v in self.test_mu)
         get_problem(self.problem).domain.check(np.array(self.test_mu))
+        if not self.schemes:
+            raise ValueError(f"schemes is empty: name one or more of {' '.join(SCHEMES)}")
         for scheme in (*self.schemes, *self.nt_override):
             if scheme not in SCHEMES:
                 raise ValueError(f"unknown scheme {scheme!r} in schemes or nt_override")

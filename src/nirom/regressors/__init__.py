@@ -37,11 +37,18 @@ def fit(spec: RegressorSpec, data: TrainingSet) -> FittedRegressor:
 
 def fit_arrays(spec: RegressorSpec, X, Y, lows=None, highs=None) -> FittedRegressor:
     """Train from raw arrays; the box defaults to the empirical input range.
-    The family fits on the inputs scaled to the unit cube of that box."""
+    The family fits on the inputs scaled to the unit cube of that box. A
+    non-finite input or target raises a ValueError naming its row and column."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
     if X.shape[0] < 1:
         raise ValueError("empty training set")
+    for name, arr in (("input", X), ("target", Y)):
+        bad = np.argwhere(~np.isfinite(arr))
+        if bad.size:
+            row, col = bad[0]
+            raise ValueError(f"{spec.family} fit: {name} row {row}, column {col} "
+                             f"is {arr[row, col]}, not finite")
     if lows is None:
         lows = X.min(axis=0)
     if highs is None:

@@ -4,9 +4,19 @@ The bias-free dual is solved by cyclic coordinate ascent with soft
 thresholding: for beta = alpha - alpha*, minimize
 0.5 beta' K beta - y' beta + eps ||beta||_1 subject to |beta_i| <= C.
 Each coordinate has a closed-form clipped update, so no working-set
-heuristics are needed. Kernels: inhomogeneous polynomial (z'z + 1)^d for
-degrees 2 and 3, and the Gaussian. ``kernel_matrix`` and
-``kernel_gradients`` evaluate both, and VKOGA uses their Gaussian.
+heuristics are needed. The ascent stops after ``MAX_PASSES`` passes, with a
+warning, or at the first pass whose largest step is within ``PASS_TOL``.
+On the polynomial kernels K is rank-deficient, so the dual optimum is not
+unique. There, and on the Gaussian fits of convdiff, the ascent crawls, and
+a capped fit stops short of the dual's KKT conditions.
+
+The coordinate loop is scalar, so it runs on Python floats (beta, y and K's
+diagonal as lists, g read with ``item``), which are the same IEEE doubles as
+numpy's but far cheaper to operate on one at a time. Each step adds one
+C-contiguous column of K, scaled into a preallocated buffer, to g = K beta.
+Kernels: inhomogeneous polynomial (z'z + 1)^d for degrees 2 and 3, and the
+Gaussian. ``kernel_matrix`` and ``kernel_gradients`` evaluate both, and
+VKOGA uses their Gaussian.
 """
 
 from __future__ import annotations
@@ -42,26 +52,42 @@ def kernel_gradients(u, centers, kernel: str, gamma: float) -> np.ndarray:
     return deg * ((centers @ u + 1.0) ** (deg - 1))[:, None] * centers
 
 
-def _solve_dual(K: np.ndarray, y: np.ndarray, eps: float, c_box: float) -> np.ndarray:
-    m = y.size
-    beta = np.zeros(m)
+def _solve_dual(KT: np.ndarray, diag: list, y: list, eps: float, c_box: float) -> np.ndarray:
+    """beta for one output. Row i of ``KT``, K's C-ordered transpose, is
+    column i of K; ``diag`` is K's diagonal and ``y`` the targets, as floats."""
+    m = len(y)
+    cols = list(KT)
+    beta = [0.0] * m
     g = np.zeros(m)  # K @ beta, maintained incrementally
-    diag = np.maximum(K.diagonal(), 1e-12)
+    scaled = np.empty(m)  # one column of K times a step
+    clipped = [max(d, 1e-12) for d in diag]
+    g_item, multiply, add = g.item, np.multiply, np.add
     for _ in range(MAX_PASSES):
         max_step = 0.0
         for i in range(m):
-            z = y[i] - (g[i] - K[i, i] * beta[i])
-            new = np.sign(z) * max(abs(z) - eps, 0.0) / diag[i]
+            b = beta[i]
+            z = y[i] - (g_item(i) - diag[i] * b)
+            # sign(z) * max(|z| - eps, 0) / diag, with np.sign's 0 at z = -0.0
+            if z > 0.0:
+                new = max(z - eps, 0.0) / clipped[i]
+            elif z < 0.0:
+                new = -max(-z - eps, 0.0) / clipped[i]
+            elif z == 0.0:
+                new = 0.0
+            else:
+                continue  # z is NaN: so is the step, which is never taken
             new = min(max(new, -c_box), c_box)
-            step = new - beta[i]
-            if abs(step) > 1e-14:
-                g += K[:, i] * step
+            step = new - b
+            size = abs(step)
+            if size > 1e-14:
+                multiply(cols[i], step, scaled)
+                add(g, scaled, g)
                 beta[i] = new
-                max_step = max(max_step, abs(step))
+                max_step = max(max_step, size)
         if max_step <= PASS_TOL:
-            return beta
+            return np.array(beta)
     warnings.warn(f"svr dual not fully converged after {MAX_PASSES} passes")
-    return beta
+    return np.array(beta)
 
 
 class SVRRegressor(FittedRegressor):
@@ -76,10 +102,12 @@ class SVRRegressor(FittedRegressor):
 
     @classmethod
     def fit(cls, spec: RegressorSpec, U, Y, lows, highs) -> "SVRRegressor":
-        K = kernel_matrix(U, U, spec["kernel"], spec["gamma"])
+        # one m x m array per fit: the contiguous transpose replaces K
+        KT = np.ascontiguousarray(kernel_matrix(U, U, spec["kernel"], spec["gamma"]).T)
+        diag = KT.diagonal().tolist()
         eps, c_box = spec["epsilon"], spec["c_box"]
         beta = np.column_stack(
-            [_solve_dual(K, Y[:, i], eps, c_box) for i in range(Y.shape[1])]
+            [_solve_dual(KT, diag, y.tolist(), eps, c_box) for y in Y.T]
         )
         return cls(spec, lows, highs, U, beta)
 

@@ -149,6 +149,7 @@ class TestExperimentConfig:
         ("newton_tol", 0.0, "newton_tol"),
         ("fixed_point_tol", -1.0, "fixed_point_tol"),
         ("max_inner", 0, "max_inner"),
+        ("schemes", (), "schemes is empty"),
     ])
     def test_out_of_range_settings_are_rejected_by_name(self, tmp_path, field, value, named):
         # each would pass until a later stage, or, for an unknown scheme's
@@ -515,6 +516,14 @@ class TestCli:
         assert main(["pod", "--config", str(ini)]) == 2
         err = capsys.readouterr().err
         assert "[config]" in err and "seed" in err
+
+    def test_empty_schemes_exits_with_config_error(self, tmp_path, capsys):
+        # accepted, it would run every stage and write no trajectory or report
+        ini = tmp_path / "exp.ini"
+        ini.write_text("[experiment]\nproblem = burgers\n\n[integration]\nschemes =\n")
+        assert main(["run", "--config", str(ini)]) == 2
+        err = capsys.readouterr().err
+        assert "[config]" in err and "schemes is empty" in err
 
     @pytest.mark.parametrize("line,key", [("vkoga gamma=abc", "gamma"),
                                           ("forest n_trees=2 seed=-1", "seed"),

@@ -2,6 +2,7 @@
 pruning and greedy selection diagnostics, and model persistence."""
 
 import math
+import warnings
 
 from hypothesis import example, given, settings, strategies as st
 import numpy as np
@@ -21,6 +22,7 @@ from nirom.regressors import (
 )
 from nirom.regressors.base import scale_to_box
 from nirom.regressors.sindy import eval_library, library_gradient, library_terms
+from nirom.regressors.svr import MAX_PASSES, PASS_TOL, SVRRegressor, kernel_matrix
 from nirom.regressors.trees import build_tree
 from nirom.sampling import TrainingSet
 
@@ -80,6 +82,30 @@ def with_nonfinite_float_examples(test):
             for val in (math.nan, math.inf, -math.inf, "nan", "inf", "-inf"):
                 test = example(family_key=(family, key), val=val, seed=0)(test)
     return test
+
+
+def reference_solve_dual(K: np.ndarray, y: np.ndarray, eps: float, c_box: float) -> np.ndarray:
+    """The coordinate ascent on numpy scalars and strided columns of K, as it
+    was before it ran on Python floats; every beta must match it bit for bit."""
+    m = y.size
+    beta = np.zeros(m)
+    g = np.zeros(m)  # K @ beta, maintained incrementally
+    diag = np.maximum(K.diagonal(), 1e-12)
+    for _ in range(MAX_PASSES):
+        max_step = 0.0
+        for i in range(m):
+            z = y[i] - (g[i] - K[i, i] * beta[i])
+            new = np.sign(z) * max(abs(z) - eps, 0.0) / diag[i]
+            new = min(max(new, -c_box), c_box)
+            step = new - beta[i]
+            if abs(step) > 1e-14:
+                g += K[:, i] * step
+                beta[i] = new
+                max_step = max(max_step, abs(step))
+        if max_step <= PASS_TOL:
+            return beta
+    warnings.warn(f"svr dual not fully converged after {MAX_PASSES} passes")
+    return beta
 
 
 def held_matrices(model):
@@ -569,6 +595,82 @@ class TestSVR:
         assert np.max(np.abs(model.jacobian(z) - fd)) < 1e-5
 
 
+    @staticmethod
+    def dual_case(kernel, seed, m, d, n_out, tube, c_box, zeros):
+        """(spec, U, Y): m scaled rows of width d and n_out targets, with
+        epsilon and c_box from the tube and box settings."""
+        rng = np.random.default_rng(seed)
+        U = rng.uniform(0.0, 1.0, size=(m, d))
+        Y = rng.normal(size=(m, n_out))
+        if zeros:  # signed zero targets reach np.sign's zero case
+            Y[rng.uniform(size=Y.shape) < 0.3] = 0.0
+            Y[rng.uniform(size=Y.shape) < 0.3] = -0.0
+        eps = {"narrow": 1e-4, "wide": 0.1, "above every |y|": np.abs(Y).max() + 0.5}[tube]
+        spec = RegressorSpec("svr", {"kernel": kernel, "epsilon": eps, "c_box": c_box})
+        return spec, U, Y
+
+    # pinned cases: one converges within MAX_PASSES, one crawls to the cap,
+    # one has the box bind and one a tube wider than every target
+    CONVERGES = dict(kernel="rbf", seed=1, m=3, d=2, n_out=1, tube="wide", c_box=1e3,
+                     zeros=False)
+    CRAWLS = dict(kernel="poly2", seed=1, m=40, d=3, n_out=1, tube="narrow", c_box=1e3,
+                  zeros=False)
+    CLIPS = dict(kernel="rbf", seed=2, m=20, d=2, n_out=2, tube="narrow", c_box=0.05,
+                 zeros=True)
+    EMPTY = dict(kernel="poly3", seed=3, m=10, d=1, n_out=3, tube="above every |y|",
+                 c_box=1e3, zeros=False)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        kernel=st.sampled_from(["poly2", "poly3", "rbf"]),
+        seed=st.integers(0, 2**16),
+        m=st.integers(2, 40),
+        d=st.integers(1, 3),
+        n_out=st.integers(1, 3),
+        tube=st.sampled_from(["narrow", "wide", "above every |y|"]),
+        c_box=st.sampled_from([1e3, 0.05]),
+        zeros=st.booleans(),
+    )
+    @example(**CONVERGES)
+    @example(**CRAWLS)
+    @example(**CLIPS)
+    @example(**EMPTY)
+    def test_dual_matches_the_reference_bit_for_bit(
+        self, kernel, seed, m, d, n_out, tube, c_box, zeros
+    ):
+        spec, U, Y = self.dual_case(kernel, seed, m, d, n_out, tube, c_box, zeros)
+        K = kernel_matrix(U, U, kernel, spec["gamma"])
+        with warnings.catch_warnings(record=True) as ref_warned:
+            warnings.simplefilter("always")
+            expected = np.column_stack(
+                [reference_solve_dual(K, Y[:, i], spec["epsilon"], c_box)
+                 for i in range(n_out)]
+            )
+        with warnings.catch_warnings(record=True) as warned:
+            warnings.simplefilter("always")
+            beta = SVRRegressor.fit(spec, U, Y, np.zeros(d), np.ones(d)).beta
+        assert beta.shape == expected.shape
+        # as integers, so that -0.0 and 0.0 differ
+        assert np.array_equal(beta.view(np.int64), expected.view(np.int64))
+        assert [str(w.message) for w in warned] == [str(w.message) for w in ref_warned]
+        if tube == "above every |y|":
+            assert not np.any(beta)
+
+    @pytest.mark.parametrize("case,warns", [(CONVERGES, 0), (CRAWLS, 1)])
+    def test_the_pinned_cases_converge_and_crawl(self, case, warns):
+        spec, U, Y = self.dual_case(**case)
+        with warnings.catch_warnings(record=True) as warned:
+            warnings.simplefilter("always")
+            SVRRegressor.fit(spec, U, Y, np.zeros(case["d"]), np.ones(case["d"]))
+        assert len(warned) == warns
+
+    @pytest.mark.filterwarnings("ignore:svr dual")
+    def test_the_pinned_box_binds(self):
+        spec, U, Y = self.dual_case(**self.CLIPS)
+        beta = SVRRegressor.fit(spec, U, Y, np.zeros(2), np.ones(2)).beta
+        assert np.max(np.abs(beta)) == 0.05
+
+
 class TestPersistence:
     def specs(self):
         return [
@@ -715,3 +817,17 @@ class TestFitEntryPoints:
     def test_empty_training_set_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             fit_arrays(RegressorSpec("knn"), np.zeros((0, 2)), np.zeros((0, 1)))
+
+    @pytest.mark.parametrize("family", sorted(FAMILY_DEFAULTS))
+    @pytest.mark.parametrize("which,row,col,bad", [("target", 3, 1, math.nan),
+                                                   ("input", 5, 0, math.inf)])
+    def test_non_finite_data_is_rejected_by_row_and_column(self, family, which, row, col,
+                                                          bad):
+        X = toy_rows(12, 2, seed=30)
+        Y = np.column_stack([X[:, 0], X[:, 0] * X[:, 1]])
+        (Y if which == "target" else X)[row, col] = bad
+        (Y if which == "target" else X)[row + 2, 0] = bad  # only the first is named
+        spec = RegressorSpec(family, {"n_neighbors": 2} if family == "knn" else {})
+        with pytest.raises(ValueError, match=f"{family} fit: {which} row {row}, "
+                                             f"column {col} is {bad}"):
+            fit_arrays(spec, X, Y, lows=np.zeros(2), highs=np.ones(2))
