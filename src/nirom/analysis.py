@@ -193,37 +193,48 @@ def sample_lipschitz(
 
     Pairs mix draws from the pool, one state per row, with small random
     perturbations of them, which probes both global and local slope. The
-    pool is `rows`, or `[lead rows; rows]` when `lead` is a pair (rows,
-    their velocities at t = 0 for the same system and mu) that other calls
-    share. The velocities of `rows` come from one block call before the
-    draws; each perturbed state gets a call of its own.
+    pool is `rows`, or the two blocks `[lead rows; rows]` when `lead` is a
+    pair (rows, their velocities at t = 0 for the same system and mu) that
+    other calls share. Both blocks are indexed where they lie, so the pool
+    is never copied, and the perturbation scale is the largest magnitude
+    in either block. The velocities of `rows` come from one block call
+    before the draws; each perturbed state gets a call of its own.
     """
     velocities = velocity_rows(system, mu, rows)
-    if lead is not None:
-        rows = np.concatenate([lead[0], rows])
-        velocities = np.concatenate([lead[1], velocities])
-    m = rows.shape[0]
+    lead_rows, lead_velocities = (rows[:0], velocities[:0]) if lead is None else lead
+    n_lead, m = len(lead_rows), len(lead_rows) + len(rows)
+
+    def pool(i):
+        """Row i of the pool [lead rows; rows] and its velocity."""
+        if i < n_lead:
+            return lead_rows[i], lead_velocities[i]
+        return rows[i - n_lead], velocities[i - n_lead]
+
     rng = np.random.default_rng(seed)
-    scale = max(np.abs(rows).max(), 1.0)
+    scale = max(np.max([(-b.min(), b.max()) for b in (lead_rows, rows) if b.size]), 1.0)
     best = 0.0
     for _ in range(n_pairs):
-        i = rng.integers(m)
-        x1 = rows[i]
+        x1, f1 = pool(rng.integers(m))
         j = rng.integers(m) if rng.uniform() < 0.5 else None
-        x2 = x1 + rng.normal(scale=1e-4 * scale, size=x1.size) if j is None else rows[j]
+        if j is None:
+            x2 = x1 + rng.normal(scale=1e-4 * scale, size=x1.size)
+        else:
+            x2, f2 = pool(j)
         dx = np.linalg.norm(x1 - x2)
         if dx == 0.0:
             continue
-        f2 = np.asarray(system.velocity(x2, 0.0, mu)) if j is None else velocities[j]
-        best = max(best, np.linalg.norm(velocities[i] - f2) / dx)
+        if j is None:
+            f2 = np.asarray(system.velocity(x2, 0.0, mu))
+        best = max(best, np.linalg.norm(f1 - f2) / dx)
     return best
 
 
 class FullOrderTerms:
     """One full-order run with its system, mu and basis, and the parts of a
     bound that depend on it alone, for every model of one scheme to share:
-    the full-order states as rows that lead each model's Lipschitz pool,
-    their velocities from one block call, the horizon T and the largest
+    the full-order states as rows, which are the lead block of each model's
+    two-block Lipschitz pool and are indexed there, not copied; their
+    velocities from one block call; the horizon T and the largest
     projection defect e_o_inf, each computed on first use."""
 
     def __init__(self, system, mu, fom: TrajectoryResult, basis: ReducedBasis):

@@ -3,9 +3,12 @@
 Matrices (snapshots, bases, model payloads) are stored as one header line
 "rows cols" (a model block prefixes it with "@name ") followed by one line
 per column of %.17g doubles, so files round-trip float64 exactly. A block
-reads back Fortran-ordered; a loaded model holds C-ordered arrays, as the
-fitted model does, and so predicts bit for bit like it. Small key-value
-metadata uses "key = value" lines. Tables go to CSV with a header row.
+is read one column line at a time into a preallocated array, so a read
+holds the array plus one line of text, and each column line must carry
+exactly "rows" values. It reads back Fortran-ordered; a loaded model holds
+C-ordered arrays, as the fitted model does, and so predicts bit for bit
+like it. Small key-value metadata uses "key = value" lines. Tables go to
+CSV with a header row.
 """
 
 from __future__ import annotations
@@ -29,10 +32,13 @@ def write_block(fh, arr: np.ndarray, head: str = "") -> None:
 
 def read_block(fh, rows: int, cols: int, where) -> np.ndarray:
     """The `cols` column lines that follow a block header, as rows x cols."""
-    flat = np.array(" ".join(fh.readline() for _ in range(cols)).split(), dtype=float)
-    if flat.size != rows * cols:
-        raise ValueError(f"{where}: expected {rows * cols} values, got {flat.size}")
-    return flat.reshape(cols, rows).T
+    out = np.empty((cols, rows))
+    for j in range(cols):
+        values = fh.readline().split()
+        if len(values) != rows:
+            raise ValueError(f"{where}: column {j} has {len(values)} values, expected {rows}")
+        out[j] = values
+    return out.T
 
 
 def write_matrix(path, arr) -> None:

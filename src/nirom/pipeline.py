@@ -389,21 +389,23 @@ def stage_fom_solve(cfg: ExperimentConfig, art: Artifacts) -> None:
         art.save_trajectory(f"fom_{scheme}", result)
 
 
-def _load_corners(art: Artifacts, needed_by: str) -> list:
-    """The state array of every corner run that fom-solve wrote, in order."""
+def _load_snapshots(art: Artifacts, needed_by: str):
+    """The states of every corner run that fom-solve wrote, side by side in
+    run order, and the number of runs. The per-run arrays are dropped once
+    stacked."""
     art.require("snapshots/corner_0.txt", needed_by, "fom-solve")
     corners = []
     for i in itertools.count():
         path = art.path("snapshots", f"corner_{i}.txt")
         if not path.exists():
-            return corners
+            return np.hstack(corners), len(corners)
         corners.append(io.read_matrix(path))
 
 
 def stage_pod(cfg: ExperimentConfig, art: Artifacts) -> None:
-    corners = _load_corners(art, "pod")
+    snapshots, n_runs = _load_snapshots(art, "pod")
     basis = pod_fit(
-        np.hstack(corners),
+        snapshots,
         energy=cfg.pod_energy,
         max_modes=cfg.pod_max_modes,
         center=cfg.pod_center,
@@ -413,7 +415,7 @@ def stage_pod(cfg: ExperimentConfig, art: Artifacts) -> None:
         art.path("basis", "meta.txt"),
         {
             "energy": io.format_double(cfg.pod_energy),
-            "source_runs": " ".join(f"corner_{j}" for j in range(len(corners))),
+            "source_runs": " ".join(f"corner_{j}" for j in range(n_runs)),
         },
     )
     art.record(pod_n=basis.n)
@@ -429,8 +431,7 @@ def stage_sample(cfg: ExperimentConfig, art: Artifacts) -> None:
     basis = _load_basis(art, "sample")
     rom = GalerkinROM(system, basis)
 
-    corners = _load_corners(art, "sample")
-    state_lo, state_hi = reduced_state_box(basis, np.hstack(corners))
+    state_lo, state_hi = reduced_state_box(basis, _load_snapshots(art, "sample")[0])
     lows, highs = joint_box(state_lo, state_hi, system.t_final, system.domain)
 
     for tag, count, seed in (

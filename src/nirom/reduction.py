@@ -4,15 +4,13 @@ The reduced model keeps the full-order velocity in the loop: its reduced
 velocity is V^T f(xbar + V xhat, t; mu), which is what the regression
 surrogates later learn to imitate. ``pod_fit`` takes the snapshot array
 itself (columns are full-order states, e.g. ``np.hstack`` of trajectory
-states) and builds V by one SVD with either a fixed dimension or an
-energy criterion.
+states) and builds V by one SVD with an energy criterion.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Optional
-import warnings
 
 import numpy as np
 import scipy.sparse as sp
@@ -93,23 +91,18 @@ class ReducedBasis:
 
 def pod_fit(
     snapshots: np.ndarray,
-    n: Optional[int] = None,
-    energy: Optional[float] = None,
+    energy: float,
     max_modes: Optional[int] = None,
     center: bool = False,
 ) -> ReducedBasis:
     """Proper orthogonal decomposition of ``snapshots``, whose columns are
     full-order states.
 
-    Exactly one of ``n`` (fixed dimension) or ``energy`` (fraction eta of
-    squared singular values, smallest dimension reaching it) must be given.
-    ``max_modes`` caps the dimension after either criterion; a request
-    beyond the numerical rank is reduced to the rank with a warning. With
-    ``center`` the column mean becomes the basis offset.
+    The dimension is the smallest that keeps the fraction ``energy`` (eta)
+    of the squared singular values, at most the numerical rank, capped by
+    ``max_modes``. With ``center`` the column mean becomes the basis offset.
     """
-    if (n is None) == (energy is None):
-        raise ValueError("give exactly one of n or energy")
-    if energy is not None and not 0.0 < energy <= 1.0:
+    if not 0.0 < energy <= 1.0:
         raise ValueError("energy fraction must lie in (0, 1]")
     S = np.asarray(snapshots, dtype=float)
     if S.ndim != 2 or S.shape[1] < 1:
@@ -121,20 +114,8 @@ def pod_fit(
     if rank == 0:
         raise ValueError("snapshot matrix is numerically zero")
 
-    if energy is not None:
-        ratios = np.cumsum(sigma**2) / np.sum(sigma**2)
-        k = int(np.searchsorted(ratios, energy) + 1)
-        k = min(k, rank)
-    else:
-        k = int(n)
-        if k < 1:
-            raise ValueError("reduced dimension must be >= 1")
-        if k > rank:
-            warnings.warn(
-                f"requested n={k} exceeds numerical rank {rank}; truncating",
-                stacklevel=2,
-            )
-            k = rank
+    ratios = np.cumsum(sigma**2) / np.sum(sigma**2)
+    k = min(int(np.searchsorted(ratios, energy) + 1), rank)
     if max_modes is not None and k > max_modes:
         k = int(max_modes)
     return ReducedBasis(U[:, :k], offset, sigma)

@@ -241,7 +241,7 @@ def load_model(path) -> FittedRegressor:
             tag, shape = _block_header(line, path)
             if tag in payload:
                 raise ValueError(f"{path}: block @{tag} written twice")
-            payload[tag] = io.read_block(fh, *shape, path)
+            payload[tag] = io.read_block(fh, *shape, f"{path}: block @{tag}")
         if fh.read().strip():
             raise ValueError(f"{path}: data after the last block")
     try:

@@ -285,8 +285,10 @@ class TestLipschitzSampling:
             expect = reference_lipschitz(sys, mu, states, n_pairs, seed)
             assert sample_lipschitz(sys, mu, rows, n_pairs, seed) == expect
             if n_lead:
-                K = sample_lipschitz(sys, mu, rows[n_lead:], n_pairs, seed, lead=lead)
-                assert K == expect
+                # contiguous rows, and the transposed view evaluate_bound passes
+                for tail in (rows[n_lead:], states.T[n_lead:]):
+                    K = sample_lipschitz(sys, mu, tail, n_pairs, seed, lead=lead)
+                    assert K == expect
 
     def test_each_pool_column_is_evaluated_exactly_once(self):
         pool = np.random.default_rng(3).normal(size=(4, 12))

@@ -1,5 +1,7 @@
 """Plain-text persistence: matrices, key-value files, CSV tables."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -25,11 +27,34 @@ class TestMatrixFormat:
     def test_header_mismatch_rejected(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("2 2\n1.0 2.0\n")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="bad.txt: column 1 has 0 values"):
             io.read_matrix(path)
         path.write_text("nonsense\n")
         with pytest.raises(ValueError):
             io.read_matrix(path)
+        # the right total, one value moved from column 1 to column 0
+        path.write_text("2 2\n1.0 2.0 3.0\n4.0\n")
+        with pytest.raises(ValueError, match="bad.txt: column 0 has 3 values, expected 2"):
+            io.read_matrix(path)
+        # a short line is not broadcast across its column
+        path.write_text("2 2\n1.0 2.0\n3.0\n")
+        with pytest.raises(ValueError, match="bad.txt: column 1 has 1 values"):
+            io.read_matrix(path)
+
+    def test_read_holds_the_array_plus_one_column_of_text(self, tmp_path):
+        # the size of a convdiff trajectory: 2601 states by 201 steps
+        arr = np.random.default_rng(4).standard_normal((2601, 201))
+        path = tmp_path / "big.txt"
+        io.write_matrix(path, arr)
+        tracemalloc.start()
+        try:
+            back = io.read_matrix(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * arr.nbytes
+        assert back.flags.f_contiguous
+        assert np.array_equal(back.view(np.int64), arr.view(np.int64))
 
     def test_3d_rejected(self, tmp_path):
         with pytest.raises(ValueError):

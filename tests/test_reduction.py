@@ -87,16 +87,9 @@ class TestReducedBasis:
 class TestPodFit:
     def test_needs_at_least_one_column(self):
         with pytest.raises(ValueError, match="column"):
-            pod_fit(np.zeros((4, 0)), n=1)
+            pod_fit(np.zeros((4, 0)), energy=1.0)
         with pytest.raises(ValueError, match="column"):
-            pod_fit(np.zeros(4), n=1)
-
-    def test_exactly_one_criterion_required(self):
-        snaps = snapshots_with_singular_values([2.0, 1.0])
-        with pytest.raises(ValueError, match="exactly one"):
-            pod_fit(snaps)
-        with pytest.raises(ValueError, match="exactly one"):
-            pod_fit(snaps, n=1, energy=0.9)
+            pod_fit(np.zeros(4), energy=1.0)
 
     def test_energy_fraction_must_be_in_unit_interval(self):
         snaps = snapshots_with_singular_values([2.0, 1.0])
@@ -108,7 +101,8 @@ class TestPodFit:
     def test_columns_are_orthonormal_to_tight_tolerance(self):
         rng = np.random.default_rng(7)
         data = rng.standard_normal((30, 12))
-        basis = pod_fit(data, n=5)
+        basis = pod_fit(data, energy=1.0, max_modes=5)
+        assert basis.n == 5
         gram = basis.V.T @ basis.V
         assert np.max(np.abs(gram - np.eye(5))) <= 1e-10
 
@@ -123,31 +117,26 @@ class TestPodFit:
 
     def test_recovered_singular_values_match_construction(self):
         sigma = np.array([4.0, 2.0, 1.0, 0.5])
-        basis = pod_fit(snapshots_with_singular_values(sigma), n=2)
+        basis = pod_fit(snapshots_with_singular_values(sigma), energy=1.0, max_modes=2)
+        assert basis.n == 2
         assert np.allclose(basis.singular_values[:4], sigma, atol=1e-12)
 
-    def test_max_modes_caps_both_criteria(self):
+    def test_max_modes_caps_the_energy_dimension(self):
         snaps = snapshots_with_singular_values([4.0, 2.0, 1.0, 0.5])
-        assert pod_fit(snaps, n=4, max_modes=2).n == 2
+        assert pod_fit(snaps, energy=1.0).n == 4
+        assert pod_fit(snaps, energy=1.0, max_modes=2).n == 2
         assert pod_fit(snaps, energy=0.99, max_modes=3).n == 3
-
-    def test_rank_deficient_request_warns_and_truncates(self):
-        u = random_orthonormal(6, 2, seed=8)
-        coeffs = np.random.default_rng(9).standard_normal((2, 5))
-        data = u @ coeffs  # rank two by construction
-        with pytest.warns(UserWarning, match="rank"):
-            basis = pod_fit(data, n=4)
-        assert basis.n == 2
 
     def test_zero_snapshots_rejected(self):
         with pytest.raises(ValueError, match="zero"):
-            pod_fit(np.zeros((4, 3)), n=1)
+            pod_fit(np.zeros((4, 3)), energy=1.0)
 
     def test_low_rank_data_is_reconstructed_exactly(self):
         u = random_orthonormal(10, 3, seed=10)
         coeffs = np.random.default_rng(11).standard_normal((3, 8))
         data = u @ coeffs
-        basis = pod_fit(data, n=3)
+        basis = pod_fit(data, energy=1.0, max_modes=3)
+        assert basis.n == 3
         recon = basis.lift(basis.project(data))
         assert np.max(np.abs(recon - data)) < 1e-12
         # the span matches: the two orthogonal projectors agree
@@ -157,10 +146,12 @@ class TestPodFit:
     def test_center_uses_column_mean_as_offset(self):
         rng = np.random.default_rng(12)
         data = rng.standard_normal((6, 5)) + 3.0
-        basis = pod_fit(data, n=2, center=True)
+        basis = pod_fit(data, energy=1.0, max_modes=2, center=True)
+        assert basis.n == 2
         assert np.allclose(basis.offset, data.mean(axis=1), atol=1e-15)
         # centered columns sum to zero, so full reconstruction needs m - 1 modes
-        full = pod_fit(data, n=4, center=True)
+        full = pod_fit(data, energy=1.0, max_modes=4, center=True)
+        assert full.n == 4
         recon = full.lift(full.project(data))
         assert np.max(np.abs(recon - data)) < 1e-12
 
@@ -205,7 +196,7 @@ class TestGalerkinROM:
         sys = get_problem("burgers")
         mu = np.array([1.5, 0.02])
         result = integrate(sys, TimeGrid(0.0, 1.0, 50), mu, IntegratorSpec("rk4"))
-        basis = pod_fit(result.states, n=3)
+        basis = pod_fit(result.states, energy=1.0, max_modes=3)
         rom = GalerkinROM(sys, basis)
         xhat = basis.project(result.final_state)
         jac = rom.jacobian(xhat, 1.0, mu)

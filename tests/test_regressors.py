@@ -790,6 +790,23 @@ class TestPersistence:
         with pytest.raises(ValueError, match=f"{family}.txt.*{message}"):
             load_model(path)
 
+    @pytest.mark.parametrize("family", ["sindy", "forest"])
+    def test_a_column_line_of_the_wrong_length_is_named(self, tmp_path, family):
+        X = toy_rows(40, 3, seed=33)
+        spec = next(s for s in self.specs() if s.family == family)
+        path = tmp_path / f"{family}.txt"
+        save_model(fit_arrays(spec, X, X[:, :2]), path)
+        head, blocks = model_blocks(path)
+        # the block keeps its total: one value moves from column 1 to column 0
+        header, col0, col1, rest = blocks["box"].split("\n", 3)
+        first, col1 = col1.split(" ", 1)
+        blocks["box"] = "\n".join([header, f"{col0} {first}", col1, rest])
+        path.write_text(head + "".join(blocks.values()))
+        with pytest.raises(
+            ValueError, match=f"{family}.txt: block @box: column 0 has 3 values, expected 2"
+        ):
+            load_model(path)
+
     def test_non_model_file_is_rejected(self, tmp_path):
         path = tmp_path / "junk.txt"
         path.write_text("columns 3 4\n")
