@@ -186,6 +186,25 @@ def velocity_rows(system, mu, rows: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(np.asarray(system.velocity(rows.T, 0.0, mu)).T)
 
 
+def _lipschitz_plan(seed: int, m: int, n_pairs: int, dim: int, n_lead: int) -> dict:
+    """The draws of the sample: (i, j, None) pairs pool rows i and j, and
+    (i, None, state) perturbs row i by the noise a generator in `state`
+    draws next. `standard_normal(dim)` advances the stream as that noise
+    does. "pairs" and "kicks" touch only the first n_lead rows, "own" the rest."""
+    rng = np.random.default_rng(seed)
+    plan = {"pairs": [], "kicks": [], "own": []}
+    for _ in range(n_pairs):
+        i = rng.integers(m)
+        if rng.uniform() < 0.5:
+            j = rng.integers(m)
+            plan["own" if max(i, j) >= n_lead else "pairs"].append((i, j, None))
+        else:
+            state = rng.bit_generator.state
+            plan["own" if i >= n_lead else "kicks"].append((i, None, state))
+            rng.standard_normal(dim)
+    return plan
+
+
 def sample_lipschitz(
     system, mu, rows: np.ndarray, n_pairs: int = 1000, seed: int = 0, lead=None
 ) -> float:
@@ -194,14 +213,24 @@ def sample_lipschitz(
     Pairs mix draws from the pool, one state per row, with small random
     perturbations of them, which probes both global and local slope. The
     pool is `rows`, or the two blocks `[lead rows; rows]` when `lead` is a
-    pair (rows, their velocities at t = 0 for the same system and mu) that
-    other calls share. Both blocks are indexed where they lie, so the pool
-    is never copied, and the perturbation scale is the largest magnitude
-    in either block. The velocities of `rows` come from one block call
-    before the draws; each perturbed state gets a call of its own.
+    pair (rows, their velocities at t = 0 for the same system and mu) or
+    a `FullOrderTerms` of that system and mu. Both blocks are indexed where
+    they lie, so the pool is never copied, and the perturbation scale is
+    the largest magnitude in either block. The velocities of `rows` come
+    from one block call; each perturbed state gets a call of its own.
+
+    A `FullOrderTerms` lead keeps the draws for each (seed, pool size,
+    n_pairs), and the largest quotient over the draws that touch its rows
+    alone: over pairs once, over perturbations once per scale. A call then
+    evaluates only the draws that touch `rows`. K is the same, bit for bit,
+    as one pass over all draws; a NaN quotient never replaces the largest.
     """
     velocities = velocity_rows(system, mu, rows)
-    lead_rows, lead_velocities = (rows[:0], velocities[:0]) if lead is None else lead
+    if isinstance(lead, FullOrderTerms):
+        lead_rows, lead_velocities, memo = lead.rows, lead.velocities, lead.lipschitz_memo
+    else:
+        lead_rows, lead_velocities = (rows[:0], velocities[:0]) if lead is None else lead
+        memo = {}
     n_lead, m = len(lead_rows), len(lead_rows) + len(rows)
 
     def pool(i):
@@ -212,21 +241,36 @@ def sample_lipschitz(
 
     rng = np.random.default_rng(seed)
     scale = max(np.max([(-b.min(), b.max()) for b in (lead_rows, rows) if b.size]), 1.0)
-    best = 0.0
-    for _ in range(n_pairs):
-        x1, f1 = pool(rng.integers(m))
-        j = rng.integers(m) if rng.uniform() < 0.5 else None
-        if j is None:
-            x2 = x1 + rng.normal(scale=1e-4 * scale, size=x1.size)
-        else:
-            x2, f2 = pool(j)
-        dx = np.linalg.norm(x1 - x2)
-        if dx == 0.0:
-            continue
-        if j is None:
-            f2 = np.asarray(system.velocity(x2, 0.0, mu))
-        best = max(best, np.linalg.norm(f1 - f2) / dx)
-    return best
+
+    def largest(draws) -> float:
+        best = 0.0
+        for i, j, state in draws:
+            x1, f1 = pool(i)
+            if state is None:
+                x2, f2 = pool(j)
+            else:
+                rng.bit_generator.state = state
+                x2 = x1 + rng.normal(scale=1e-4 * scale, size=x1.size)
+            dx = np.linalg.norm(x1 - x2)
+            if dx == 0.0:
+                continue
+            if state is not None:
+                f2 = np.asarray(system.velocity(x2, 0.0, mu))
+            best = max(best, np.linalg.norm(f1 - f2) / dx)
+        return best
+
+    def memoised(key, compute):
+        if key not in memo:
+            memo[key] = compute()
+        return memo[key]
+
+    key = (seed, m, n_pairs)
+    plan = memoised(key, lambda: _lipschitz_plan(seed, m, n_pairs, rows.shape[1], n_lead))
+    return max(
+        memoised(key + ("pairs",), lambda: largest(plan["pairs"])),
+        memoised(key + ("kicks", scale), lambda: largest(plan["kicks"])),
+        largest(plan["own"]),
+    )
 
 
 class FullOrderTerms:
@@ -235,7 +279,9 @@ class FullOrderTerms:
     the full-order states as rows, which are the lead block of each model's
     two-block Lipschitz pool and are indexed there, not copied; their
     velocities from one block call; the horizon T and the largest
-    projection defect e_o_inf, each computed on first use."""
+    projection defect e_o_inf, each computed on first use; and the
+    `sample_lipschitz` memo, so that the models of a scheme share the pair
+    draws and evaluate each perturbed full-order state once per scale."""
 
     def __init__(self, system, mu, fom: TrajectoryResult, basis: ReducedBasis):
         self.system = system
@@ -244,6 +290,7 @@ class FullOrderTerms:
         self.basis = basis
         self.rows = np.ascontiguousarray(fom.states.T)
         self.horizon = float(fom.times[-1] - fom.times[0])
+        self.lipschitz_memo = {}
 
     @cached_property
     def velocities(self) -> np.ndarray:
@@ -280,18 +327,18 @@ def evaluate_bound(
     The Lipschitz constant is sampled from the pool [full-order states;
     lifted surrogate states], with the velocities of each half from one
     block call: the full-order half once per `terms`, so once per scheme
-    when the models of a scheme share it. The regression constant is the
-    largest validation-row error of the model (zero for the exact projected
-    model), and the orthogonal term is the largest projection defect of the
-    full trajectory. Sampled constants can undershoot the true suprema, so
-    `holds` is diagnostic, not a guarantee.
+    when the models of a scheme share it. `terms` also keeps the pair
+    draws and the quotients over full-order states alone, so each model
+    evaluates only the draws that touch its own states. The regression
+    constant is the largest validation-row error of the model (zero for
+    the exact projected model), and the orthogonal term is the largest
+    projection defect of the full trajectory. Sampled constants can
+    undershoot the true suprema, so `holds` is diagnostic, not a guarantee.
     """
     fom, basis = terms.fom, terms.basis
     _require_shared_grid(surrogate, fom)
     lifted = basis.lift(surrogate.states)
-    K = sample_lipschitz(
-        terms.system, terms.mu, lifted.T, seed=seed, lead=(terms.rows, terms.velocities)
-    )
+    K = sample_lipschitz(terms.system, terms.mu, lifted.T, seed=seed, lead=terms)
 
     if validation_inputs is None:
         C = 0.0

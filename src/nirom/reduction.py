@@ -118,7 +118,8 @@ def pod_fit(
     k = min(int(np.searchsorted(ratios, energy) + 1), rank)
     if max_modes is not None and k > max_modes:
         k = int(max_modes)
-    return ReducedBasis(U[:, :k], offset, sigma)
+    # a copy, so that the basis does not keep all of U alive
+    return ReducedBasis(U[:, :k].copy(), offset, sigma)
 
 
 class GalerkinROM(DynamicalSystem):

@@ -6,6 +6,26 @@ import pytest
 from nirom.core import DynamicalSystem, ParameterDomain
 
 
+def fd_jacobian(f, x: np.ndarray, scale: float = 1e-6) -> np.ndarray:
+    """Dense Jacobian of f at x by central differences, the reference the
+    analytic Jacobians are tested against.
+
+    The step in coordinate j is scale*(1 + |x_j|) so that both tiny and
+    large states get a sensible relative perturbation.
+    """
+    x = np.asarray(x, dtype=float)
+    f0 = np.atleast_1d(np.asarray(f(x), dtype=float))
+    jac = np.empty((f0.size, x.size))
+    for j in range(x.size):
+        h = scale * (1.0 + abs(x[j]))
+        xp = x.copy()
+        xm = x.copy()
+        xp[j] += h
+        xm[j] -= h
+        jac[:, j] = (np.asarray(f(xp)) - np.asarray(f(xm))) / (2.0 * h)
+    return jac
+
+
 class DiagonalDecay(DynamicalSystem):
     """dx_i/dt = -mu * rate_i * x_i, exactly solvable component-wise."""
 

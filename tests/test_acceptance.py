@@ -14,9 +14,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from conftest import DiagonalDecay, SoftSaturation, make_dataset
+from conftest import DiagonalDecay, SoftSaturation, fd_jacobian, make_dataset
 from nirom.analysis import ParetoPoint, bound_value, error_series, pareto_frontier
-from nirom.core import TimeGrid, fd_jacobian
+from nirom.core import TimeGrid
 from nirom.integration import IntegratorSpec, integrate, verify_timestep
 from nirom.pipeline import DEFAULT_MODELS, parse_model_line
 from nirom.problems import get_problem

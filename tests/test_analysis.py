@@ -271,6 +271,16 @@ def pools(draw):
     return states, draw(st.integers(0, m - 1))
 
 
+def full_order_terms(system, mu, states):
+    """FullOrderTerms over the columns of `states`; the Lipschitz sample
+    needs no basis."""
+    return FullOrderTerms(system, mu, traj(np.arange(states.shape[1]), states), None)
+
+
+def bits(x):
+    return np.float64(x).view(np.int64)
+
+
 class TestLipschitzSampling:
     @settings(max_examples=150, deadline=None)
     @given(pool=pools(), seeds=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=3),
@@ -307,6 +317,64 @@ class TestLipschitzSampling:
         # difference quotients can only approach it from below
         assert K <= 2.6 + 1e-12
         assert K >= 2.59
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_shared_terms_give_every_tail_the_reference_k(self, data):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        n, distinct = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 6))
+        columns = rng.uniform(-0.5, 0.5, size=(n, distinct))
+        pick = lambda size: columns[:, rng.integers(distinct, size=size)]
+        n_lead, n_tail = data.draw(st.integers(1, 8)), data.draw(st.integers(1, 8))
+        lead = pick(n_lead)
+        tails = []
+        for _ in range(data.draw(st.integers(1, 5))):
+            # a rescaled tail moves the perturbation scale off 1.0
+            tails.append(data.draw(st.sampled_from([1.0, 1.0, 3.0, 30.0])) * pick(n_tail))
+        order = data.draw(st.permutations(range(len(tails))))
+        order += data.draw(st.lists(st.sampled_from(range(len(tails))), max_size=3))
+        n_pairs = data.draw(st.integers(0, 60))
+        sys, mu = Coupled(), np.array([0.7])
+        terms = full_order_terms(sys, mu, lead)
+        for k in order:
+            seed = data.draw(st.integers(0, 2))
+            expect = reference_lipschitz(sys, mu, np.hstack([lead, tails[k]]), n_pairs, seed)
+            K = sample_lipschitz(sys, mu, tails[k].T, n_pairs, seed, lead=terms)
+            assert bits(K) == bits(expect)
+
+    def test_full_order_perturbations_are_evaluated_once_per_scale(self):
+        rng = np.random.default_rng(5)
+        lead, tail = rng.uniform(-0.5, 0.5, size=(2, 4, 10))
+        n_pairs, m = 400, 20
+        # replay the draws to count the perturbations of each block
+        replay, lead_kicks, tail_kicks = np.random.default_rng(0), 0, 0
+        for _ in range(n_pairs):
+            i = replay.integers(m)
+            if replay.uniform() < 0.5:
+                replay.integers(m)
+            else:
+                replay.standard_normal(4)
+                lead_kicks, tail_kicks = lead_kicks + (i < 10), tail_kicks + (i >= 10)
+        assert lead_kicks > 50 and tail_kicks > 50
+        sys, mu = Counting(Coupled()), np.array([0.7])
+        terms = full_order_terms(sys, mu, lead)
+        calls = []
+        # two tails under the scale 1.0, then one that raises it to 1.5
+        for t in (tail, tail + 0.1, 3.0 * tail):
+            before = sys.single_calls
+            sample_lipschitz(sys, mu, t.T, n_pairs, seed=0, lead=terms)
+            calls.append(sys.single_calls - before)
+        assert calls == [lead_kicks + tail_kicks, tail_kicks, lead_kicks + tail_kicks]
+        assert [sys.count(col) for col in lead.T] == [1] * 10
+
+    def test_standard_normal_advances_the_stream_as_scaled_normal_does(self):
+        a, b = np.random.default_rng(11), np.random.default_rng(11)
+        for rng in (a, b):
+            rng.integers(7), rng.uniform()
+        a.standard_normal(37)
+        b.normal(scale=3e-4, size=37)
+        assert a.bit_generator.state == b.bit_generator.state
+        assert bits(a.uniform()) == bits(b.uniform())
 
 
 class TestBoundValue:

@@ -12,9 +12,10 @@ from nirom.core import (
     ParameterDomain,
     StageError,
     TimeGrid,
-    fd_jacobian,
     require_finite,
 )
+
+from conftest import fd_jacobian
 
 
 class TestParameterDomain:

@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from nirom.core import DomainError, EvaluationError, fd_jacobian
+from nirom.core import DomainError, EvaluationError
 from nirom.problems import Burgers1D, ConvDiff2D, get_problem
+
+from conftest import fd_jacobian
 
 
 class TestRegistry:

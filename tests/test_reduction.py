@@ -3,12 +3,12 @@
 import numpy as np
 import pytest
 
-from nirom.core import TimeGrid, fd_jacobian
+from nirom.core import TimeGrid
 from nirom.integration import IntegratorSpec, integrate
 from nirom.problems import get_problem
 from nirom.reduction import GalerkinROM, ReducedBasis, pod_fit
 
-from conftest import DiagonalDecay
+from conftest import DiagonalDecay, fd_jacobian
 
 
 def random_orthonormal(rows, cols, seed=0):
@@ -105,6 +105,13 @@ class TestPodFit:
         assert basis.n == 5
         gram = basis.V.T @ basis.V
         assert np.max(np.abs(gram - np.eye(5))) <= 1e-10
+
+    def test_basis_owns_its_columns_and_keeps_their_bits(self):
+        data = np.random.default_rng(7).standard_normal((30, 12))
+        basis = pod_fit(data, energy=1.0, max_modes=5)
+        U = np.linalg.svd(data, full_matrices=False)[0]
+        assert basis.V.flags.owndata and basis.V.base is None
+        assert np.array_equal(basis.V.view(np.int64), U[:, :5].view(np.int64))
 
     def test_energy_criterion_picks_smallest_sufficient_dimension(self):
         # squared values 16, 4, 1, 0.25 give retained fractions

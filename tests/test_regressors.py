@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from nirom import io
-from nirom.core import CapabilityError, fd_jacobian
+from nirom.core import CapabilityError
 from nirom.regressors import (
     FAMILY_DEFAULTS,
     ForestRegressor,
@@ -25,6 +25,8 @@ from nirom.regressors.sindy import eval_library, library_gradient, library_terms
 from nirom.regressors.svr import MAX_PASSES, PASS_TOL, SVRRegressor, kernel_matrix
 from nirom.regressors.trees import build_tree
 from nirom.sampling import TrainingSet
+
+from conftest import fd_jacobian
 
 
 def toy_rows(m=60, d=3, seed=0):

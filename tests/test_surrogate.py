@@ -3,14 +3,14 @@
 import numpy as np
 import pytest
 
-from nirom.core import CapabilityError, TimeGrid, fd_jacobian
+from nirom.core import CapabilityError, TimeGrid
 from nirom.integration import IntegratorSpec, TrajectoryResult, integrate
 from nirom.reduction import GalerkinROM, ReducedBasis
 from nirom.regressors import RegressorSpec, fit_arrays
 from nirom.sampling import build_training_set, lhs_maximin
 from nirom.surrogate import RegressionROM
 
-from conftest import DiagonalDecay
+from conftest import DiagonalDecay, fd_jacobian
 
 
 def fitted_on_velocity(spec, count=220):
