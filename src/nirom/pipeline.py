@@ -476,11 +476,14 @@ def stage_train(cfg: ExperimentConfig, art: Artifacts) -> None:
         return name, model, time.perf_counter() - tic
 
     items = list(cfg.models.items())
+    # SVR fits fork only while no other thread runs (regressors.svr): fit last
+    threaded = [item for item in items if item[1].family != "svr"]
     if cfg.train_workers > 1:
         with ThreadPoolExecutor(max_workers=cfg.train_workers) as pool:
-            fitted = list(pool.map(fit_one, items))
+            fitted = list(pool.map(fit_one, threaded))
     else:
-        fitted = [fit_one(item) for item in items]
+        fitted = [fit_one(item) for item in threaded]
+    fitted += [fit_one(item) for item in items if item not in threaded]
     for name, model, seconds in fitted:
         save_model(model, art.path("models", f"{name}.txt"))
         art.record_timing(**{f"fit_{name}": io.format_double(seconds)})

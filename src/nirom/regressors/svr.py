@@ -14,6 +14,12 @@ The coordinate loop is scalar, so it runs on Python floats (beta, y and K's
 diagonal as lists, g read with ``item``), which are the same IEEE doubles as
 numpy's but far cheaper to operate on one at a time. Each step adds one
 C-contiguous column of K, scaled into a preallocated buffer, to g = K beta.
+
+The outputs share only K and the loop holds the GIL, so ``fit`` solves them
+in forked processes, at most one per usable CPU, while its thread is the
+process's only one (a fork while another thread is in a threaded OpenBLAS
+call hangs). Fork shares K and starts in milliseconds; spawn and forkserver
+re-import the package per worker (1-1.5 s a pool). Betas match the serial loop's.
 Kernels: inhomogeneous polynomial (z'z + 1)^d for degrees 2 and 3, and the
 Gaussian. ``kernel_matrix`` and ``kernel_gradients`` evaluate both, and
 VKOGA uses their Gaussian.
@@ -21,6 +27,10 @@ VKOGA uses their Gaussian.
 
 from __future__ import annotations
 
+from concurrent.futures import ProcessPoolExecutor
+from multiprocessing import get_context
+import os
+import threading
 import warnings
 
 import numpy as np
@@ -52,9 +62,14 @@ def kernel_gradients(u, centers, kernel: str, gamma: float) -> np.ndarray:
     return deg * ((centers @ u + 1.0) ** (deg - 1))[:, None] * centers
 
 
-def _solve_dual(KT: np.ndarray, diag: list, y: list, eps: float, c_box: float) -> np.ndarray:
-    """beta for one output. Row i of ``KT``, K's C-ordered transpose, is
-    column i of K; ``diag`` is K's diagonal and ``y`` the targets, as floats."""
+def _usable_cpus() -> int:
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _solve_dual(y: list, KT: np.ndarray, diag: list, eps: float, c_box: float):
+    """(beta, converged) for one output; converged is False when capped at
+    ``MAX_PASSES``. Row i of ``KT`` is column i of K, ``diag`` K's diagonal and
+    ``y`` the targets, as floats. No I/O, logging, BLAS call or warning."""
     m = len(y)
     cols = list(KT)
     beta = [0.0] * m
@@ -85,9 +100,15 @@ def _solve_dual(KT: np.ndarray, diag: list, y: list, eps: float, c_box: float) -
                 beta[i] = new
                 max_step = max(max_step, size)
         if max_step <= PASS_TOL:
-            return np.array(beta)
-    warnings.warn(f"svr dual not fully converged after {MAX_PASSES} passes")
-    return np.array(beta)
+            return np.array(beta), True
+    return np.array(beta), False
+
+
+_shared: list = []  # a worker's KT, diag, eps and c_box, from its pool's initializer
+
+
+def _solve_shared(y: list):
+    return _solve_dual(y, *_shared)
 
 
 class SVRRegressor(FittedRegressor):
@@ -104,12 +125,18 @@ class SVRRegressor(FittedRegressor):
     def fit(cls, spec: RegressorSpec, U, Y, lows, highs) -> "SVRRegressor":
         # one m x m array per fit: the contiguous transpose replaces K
         KT = np.ascontiguousarray(kernel_matrix(U, U, spec["kernel"], spec["gamma"]).T)
-        diag = KT.diagonal().tolist()
-        eps, c_box = spec["epsilon"], spec["c_box"]
-        beta = np.column_stack(
-            [_solve_dual(KT, diag, y.tolist(), eps, c_box) for y in Y.T]
-        )
-        return cls(spec, lows, highs, U, beta)
+        dual = (KT, KT.diagonal().tolist(), spec["epsilon"], spec["c_box"])
+        targets = [y.tolist() for y in Y.T]
+        workers = min(len(targets), _usable_cpus())
+        if workers > 1 and hasattr(os, "fork") and threading.active_count() == 1:
+            with ProcessPoolExecutor(workers, get_context("fork"), _shared.extend, (dual,)) as pool:
+                solved = list(pool.map(_solve_shared, targets))
+        else:
+            solved = [_solve_dual(y, *dual) for y in targets]
+        for _, converged in solved:
+            if not converged:
+                warnings.warn(f"svr dual not fully converged after {MAX_PASSES} passes")
+        return cls(spec, lows, highs, U, np.column_stack([beta for beta, _ in solved]))
 
     def _predict_scaled(self, U: np.ndarray) -> np.ndarray:
         return kernel_matrix(U, self.inputs_scaled, self.kernel, self.gamma) @ self.beta

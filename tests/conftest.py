@@ -1,9 +1,12 @@
 """Shared small test systems and dataset helpers."""
 
+import threading
+
 import numpy as np
 import pytest
 
 from nirom.core import DynamicalSystem, ParameterDomain
+from nirom.regressors import svr
 
 
 def fd_jacobian(f, x: np.ndarray, scale: float = 1e-6) -> np.ndarray:
@@ -24,6 +27,22 @@ def fd_jacobian(f, x: np.ndarray, scale: float = 1e-6) -> np.ndarray:
         xm[j] -= h
         jac[:, j] = (np.asarray(f(xp)) - np.asarray(f(xm))) / (2.0 * h)
     return jac
+
+
+@pytest.fixture
+def svr_pools(monkeypatch):
+    """Two usable CPUs for SVR fits, and a list that gets (workers, threads
+    alive) for each process pool an SVR fit starts."""
+    pools = []
+
+    class Recorded(svr.ProcessPoolExecutor):
+        def __init__(self, workers, *args, **kwargs):
+            pools.append((workers, threading.active_count()))
+            super().__init__(workers, *args, **kwargs)
+
+    monkeypatch.setattr(svr, "ProcessPoolExecutor", Recorded)
+    monkeypatch.setattr(svr, "_usable_cpus", lambda: 2)
+    return pools
 
 
 class DiagonalDecay(DynamicalSystem):

@@ -466,6 +466,26 @@ class TestFullPipeline:
         for name in ["sindy", *names]:
             assert (twin / "reports" / f"bound_{name}_rk4.txt").read_bytes() == bound
 
+    @pytest.mark.filterwarnings("ignore:svr dual")
+    def test_svr_lines_fork_their_workers_after_the_threaded_fits(
+        self, tiny_run, tmp_path, svr_pools
+    ):
+        """With two training threads, an SVR line still solves its outputs in
+        worker processes, forked while no other thread runs, and every model
+        file keeps the bytes a one-thread run saves."""
+        _, out, cfg = tiny_run
+        models = dict(cfg.models, svr=parse_model_line("svr kernel=rbf epsilon=0.01"))
+        saved = []
+        for workers in (1, 2):
+            twin = tmp_path / f"workers{workers}"
+            shutil.copytree(out, twin)
+            run_stage(dataclasses.replace(cfg, out_dir=twin, models=models,
+                                          train_workers=workers), "train")
+            saved.append({name: (twin / "models" / f"{name}.txt").read_bytes()
+                          for name in models})
+        assert svr_pools == [(2, 1), (2, 1)]
+        assert saved[0] == saved[1]
+
 
 class TestCli:
     def test_missing_config_exits_with_config_error(self, tmp_path, capsys):

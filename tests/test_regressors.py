@@ -1,10 +1,13 @@
 """Regression families: specs, fit and predict behavior, jacobians,
 pruning and greedy selection diagnostics, and model persistence."""
 
+from concurrent.futures import ThreadPoolExecutor
 import math
+import multiprocessing
+from unittest import mock
 import warnings
 
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 import numpy as np
 import pytest
 
@@ -19,6 +22,7 @@ from nirom.regressors import (
     load_model,
     parse_model_line,
     save_model,
+    svr,
 )
 from nirom.regressors.base import scale_to_box
 from nirom.regressors.sindy import eval_library, library_gradient, library_terms
@@ -622,8 +626,7 @@ class TestSVR:
     EMPTY = dict(kernel="poly3", seed=3, m=10, d=1, n_out=3, tube="above every |y|",
                  c_box=1e3, zeros=False)
 
-    @settings(max_examples=100, deadline=None)
-    @given(
+    DUAL_CASES = dict(
         kernel=st.sampled_from(["poly2", "poly3", "rbf"]),
         seed=st.integers(0, 2**16),
         m=st.integers(2, 40),
@@ -633,6 +636,29 @@ class TestSVR:
         c_box=st.sampled_from([1e3, 0.05]),
         zeros=st.booleans(),
     )
+
+    @staticmethod
+    def assert_fit_matches_the_reference(spec, U, Y):
+        """The fitted beta equals the reference's as int64 views, so that
+        -0.0 and 0.0 differ, and the fit warns as the reference does, in
+        order. Returns beta."""
+        K = kernel_matrix(U, U, spec["kernel"], spec["gamma"])
+        with warnings.catch_warnings(record=True) as ref_warned:
+            warnings.simplefilter("always")
+            expected = np.column_stack(
+                [reference_solve_dual(K, y, spec["epsilon"], spec["c_box"]) for y in Y.T]
+            )
+        d = U.shape[1]
+        with warnings.catch_warnings(record=True) as warned:
+            warnings.simplefilter("always")
+            beta = SVRRegressor.fit(spec, U, Y, np.zeros(d), np.ones(d)).beta
+        assert beta.shape == expected.shape
+        assert np.array_equal(beta.view(np.int64), expected.view(np.int64))
+        assert [str(w.message) for w in warned] == [str(w.message) for w in ref_warned]
+        return beta
+
+    @settings(max_examples=100, deadline=None)
+    @given(**DUAL_CASES)
     @example(**CONVERGES)
     @example(**CRAWLS)
     @example(**CLIPS)
@@ -641,22 +667,59 @@ class TestSVR:
         self, kernel, seed, m, d, n_out, tube, c_box, zeros
     ):
         spec, U, Y = self.dual_case(kernel, seed, m, d, n_out, tube, c_box, zeros)
-        K = kernel_matrix(U, U, kernel, spec["gamma"])
-        with warnings.catch_warnings(record=True) as ref_warned:
-            warnings.simplefilter("always")
-            expected = np.column_stack(
-                [reference_solve_dual(K, Y[:, i], spec["epsilon"], c_box)
-                 for i in range(n_out)]
-            )
-        with warnings.catch_warnings(record=True) as warned:
-            warnings.simplefilter("always")
-            beta = SVRRegressor.fit(spec, U, Y, np.zeros(d), np.ones(d)).beta
-        assert beta.shape == expected.shape
-        # as integers, so that -0.0 and 0.0 differ
-        assert np.array_equal(beta.view(np.int64), expected.view(np.int64))
-        assert [str(w.message) for w in warned] == [str(w.message) for w in ref_warned]
+        beta = self.assert_fit_matches_the_reference(spec, U, Y)
         if tube == "above every |y|":
             assert not np.any(beta)
+
+    # with two usable CPUs every fit of two or more outputs forks its
+    # workers, with one every fit takes the serial loop, on any host
+    # svr_pools is cleared for each example
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(**DUAL_CASES)
+    @example(**CONVERGES)
+    @example(**CRAWLS)
+    @example(**CLIPS)
+    @example(**EMPTY)
+    @example(**dict(CRAWLS, n_out=3))
+    def test_each_dispatch_path_matches_the_reference(
+        self, svr_pools, cpus, kernel, seed, m, d, n_out, tube, c_box, zeros
+    ):
+        spec, U, Y = self.dual_case(kernel, seed, m, d, n_out, tube, c_box, zeros)
+        svr_pools.clear()
+        with mock.patch.object(svr, "_usable_cpus", lambda: cpus):
+            self.assert_fit_matches_the_reference(spec, U, Y)
+        assert svr_pools == ([(min(n_out, cpus), 1)] if cpus > 1 and n_out > 1 else [])
+        assert multiprocessing.active_children() == []
+
+    def test_concurrent_fits_match_a_lone_fit_and_start_no_process(self, svr_pools):
+        # the benchmark trains with two threads; a fork while the other thread
+        # is inside a threaded BLAS call can hang, so these fits stay serial
+        case = dict(kernel="rbf", seed=4, m=40, d=3, n_out=5, tube="narrow", c_box=1e3,
+                    zeros=False)
+        spec, U, Y = self.dual_case(**case)
+        fit_once = lambda _: SVRRegressor.fit(spec, U, Y, np.zeros(3), np.ones(3)).beta
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            alone = fit_once(None)
+            assert svr_pools == [(2, 1)]
+            for _ in range(2):
+                with ThreadPoolExecutor(2) as threads:
+                    betas = list(threads.map(fit_once, range(4)))
+                assert multiprocessing.active_children() == []
+                for beta in betas:
+                    assert np.array_equal(beta.view(np.int64), alone.view(np.int64))
+        assert svr_pools == [(2, 1)]
+
+    def test_a_one_output_fit_starts_no_process(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a one-output fit started a process pool")
+
+        monkeypatch.setattr(svr, "ProcessPoolExecutor", refuse)
+        monkeypatch.setattr(svr, "_usable_cpus", lambda: 2)
+        for case in (self.CONVERGES, self.CRAWLS):
+            self.assert_fit_matches_the_reference(*self.dual_case(**case))
 
     @pytest.mark.parametrize("case,warns", [(CONVERGES, 0), (CRAWLS, 1)])
     def test_the_pinned_cases_converge_and_crawl(self, case, warns):
