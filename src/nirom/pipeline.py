@@ -35,7 +35,7 @@ from .analysis import (
     pareto_frontier,
     runtime_ratios,
 )
-from .core import StageError, TimeGrid
+from .core import ConvergenceError, DivergenceError, StageError, TimeGrid
 from .integration import (
     IntegratorSpec,
     TrajectoryResult,
@@ -266,6 +266,15 @@ class Artifacts:
     def record(self, **updates) -> None:
         self.update_keyvalues("manifest.txt", updates)
 
+    def record_failures(self, failures: dict) -> None:
+        """Make `failures` ({tag: reason}) the manifest's only status_<tag>
+        lines; a manifest that already says so is left as it is."""
+        current = self.manifest()
+        updated = {k: v for k, v in current.items() if not k.startswith("status_")}
+        updated.update({f"status_{tag}": reason for tag, reason in failures.items()})
+        if updated != current:
+            io.write_keyvalues(self.root / "reports" / "manifest.txt", updated)
+
     def record_timing(self, **updates) -> None:
         self.update_keyvalues("timings.txt", updates)
 
@@ -409,6 +418,7 @@ def stage_pod(cfg: ExperimentConfig, art: Artifacts) -> None:
         energy=cfg.pod_energy,
         max_modes=cfg.pod_max_modes,
         center=cfg.pod_center,
+        overwrite=True,  # the stacked array is ours
     )
     basis.save(
         art.path("basis", "V.txt"),
@@ -517,8 +527,10 @@ def stage_rom_solve(cfg: ExperimentConfig, art: Artifacts) -> None:
 
     def solve_one(job):
         tag, model, grid, spec = job
-        result = integrate(model, grid, mu, spec)
-        return tag, model, result
+        try:
+            return tag, model, integrate(model, grid, mu, spec)
+        except (ConvergenceError, DivergenceError) as exc:
+            return tag, model, exc
 
     if cfg.solve_workers > 1:
         with ThreadPoolExecutor(max_workers=cfg.solve_workers) as pool:
@@ -526,7 +538,15 @@ def stage_rom_solve(cfg: ExperimentConfig, art: Artifacts) -> None:
     else:
         results = [solve_one(job) for job in jobs]
 
+    failures = {}
     for tag, model, result in results:
+        if isinstance(result, Exception):
+            text = " ".join(str(result).split())
+            failures[tag] = f"step {result.step}: {type(result).__name__}: {text}"
+            # no trajectory of an earlier run may stand in for this one
+            for suffix in ("txt", "meta"):
+                art.path("trajectories", f"{tag}.{suffix}").unlink(missing_ok=True)
+            continue
         art.save_trajectory(tag, result)
         if isinstance(model, RegressionROM):
             art.record(
@@ -536,6 +556,12 @@ def stage_rom_solve(cfg: ExperimentConfig, art: Artifacts) -> None:
                     )
                 }
             )
+    art.record_failures(failures)
+    if failures:
+        raise StageError(
+            f"stage rom-solve: {len(failures)} of {len(jobs)} solves failed "
+            f"({' '.join(failures)}); see their status_<tag> lines in reports/manifest.txt"
+        )
 
 
 def stage_report(cfg: ExperimentConfig, art: Artifacts) -> None:

@@ -94,21 +94,32 @@ def pod_fit(
     energy: float,
     max_modes: Optional[int] = None,
     center: bool = False,
+    *,
+    overwrite: bool = False,
 ) -> ReducedBasis:
     """Proper orthogonal decomposition of ``snapshots``, whose columns are
     full-order states.
 
     The dimension is the smallest that keeps the fraction ``energy`` (eta)
     of the squared singular values, at most the numerical rank, capped by
-    ``max_modes``. With ``center`` the column mean becomes the basis offset.
+    ``max_modes``. With ``center`` the column mean becomes the basis offset;
+    with ``overwrite`` it is subtracted from ``snapshots`` in place rather
+    than from a copy, so the caller's array is left centred.
     """
     if not 0.0 < energy <= 1.0:
         raise ValueError("energy fraction must lie in (0, 1]")
     S = np.asarray(snapshots, dtype=float)
     if S.ndim != 2 or S.shape[1] < 1:
         raise ValueError("snapshot matrix needs at least one column")
-    offset = S.mean(axis=1) if center else np.zeros(S.shape[0])
-    U, sigma, _ = np.linalg.svd(S - offset[:, None], full_matrices=False)
+    if center:
+        offset = S.mean(axis=1)
+        if overwrite:
+            S -= offset[:, None]
+        else:
+            S = S - offset[:, None]
+    else:
+        offset = np.zeros(S.shape[0])
+    U, sigma, _ = np.linalg.svd(S, full_matrices=False)
     tol = max(S.shape) * np.finfo(float).eps * (sigma[0] if sigma.size else 0.0)
     rank = int(np.sum(sigma > tol))
     if rank == 0:

@@ -2,6 +2,7 @@
 
 import dataclasses
 from pathlib import Path
+import re
 import shutil
 import textwrap
 
@@ -269,6 +270,27 @@ class TestLoadConfig:
         assert cfg.out_dir == tmp_path / "elsewhere"
 
 
+class TestBenchConfigs:
+    """The benchmark loads its INI configs through `load_config` and reads
+    fields of the result (bench/child.py), so those fields are a contract
+    between the package and the benchmark."""
+
+    CONFIGS = sorted((Path(__file__).resolve().parents[1] / "bench" / "configs").glob("*.ini"))
+
+    def test_both_workloads_have_a_config(self):
+        assert [p.name for p in self.CONFIGS] == ["burgers-run.ini", "convdiff-run.ini"]
+
+    @pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.stem)
+    def test_config_pins_every_step_count_and_has_the_fields_the_child_reads(self, path):
+        cfg = load_config(path)
+        assert set(cfg.schemes) | {"backward_euler"} <= set(cfg.nt_override)
+        assert all(cfg.nt_override[s] >= 1 for s in (*cfg.schemes, "backward_euler"))
+        assert isinstance(cfg.out_dir, Path) and cfg.models
+        # a traced run overrides train_workers and needs one thread in both pools
+        traced = load_config(path, {"train_workers": 1})
+        assert (traced.train_workers, traced.solve_workers) == (1, 1)
+
+
 class TestArtifacts:
     def test_subdirectories_are_created(self, tmp_path):
         art = Artifacts(tmp_path / "runX")
@@ -465,6 +487,34 @@ class TestFullPipeline:
         bound = (out / "reports" / "bound_sindy_rk4.txt").read_bytes()
         for name in ["sindy", *names]:
             assert (twin / "reports" / f"bound_{name}_rk4.txt").read_bytes() == bound
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_failed_solve_is_recorded_while_the_others_save(self, tiny_run, tmp_path, workers):
+        """With backward Euler added, kNN's fixed-point solve stalls (its
+        velocity is piecewise constant): every other trajectory is still
+        saved, the manifest gets one status line with the error and its step,
+        and the stage raises one StageError that names the failed solve. A
+        rerun without the failing solve drops the status line."""
+        _, out, cfg = tiny_run
+        twin = tmp_path / "twin"
+        shutil.copytree(out, twin)
+        both = dataclasses.replace(cfg, out_dir=twin, schemes=("rk4", "backward_euler"),
+                                   solve_workers=workers)
+        with pytest.raises(StageError, match=r"1 of 6 solves failed \(knn_backward_euler\)"):
+            run_stage(both, "rom-solve")
+        saved = {p.stem for p in (twin / "trajectories").glob("*.txt")}
+        assert saved == {"fom_rk4", "galerkin_rk4", "knn_rk4", "sindy_rk4",
+                         "galerkin_backward_euler", "sindy_backward_euler"}
+        manifest = read_keyvalues(twin / "reports" / "manifest.txt")
+        status = [k for k in manifest if k.startswith("status_")]
+        assert status == ["status_knn_backward_euler"]
+        assert re.fullmatch(r"step (\d+): ConvergenceError: step \1: fixed point stalled, "
+                            r"residual \S+", manifest[status[0]])
+        assert "extrapolation_fraction_sindy_backward_euler" in manifest
+
+        run_stage(dataclasses.replace(cfg, out_dir=twin), "rom-solve")
+        manifest = read_keyvalues(twin / "reports" / "manifest.txt")
+        assert not [k for k in manifest if k.startswith("status_")]
 
     @pytest.mark.filterwarnings("ignore:svr dual")
     def test_svr_lines_fork_their_workers_after_the_threaded_fits(

@@ -163,6 +163,25 @@ class TestPodFit:
         assert np.max(np.abs(recon - data)) < 1e-12
 
 
+    @pytest.mark.parametrize("center", [False, True])
+    def test_the_default_call_leaves_its_snapshots_untouched(self, center):
+        data = np.random.default_rng(13).standard_normal((30, 12)) + 2.0
+        kept = data.copy()
+        pod_fit(data, energy=1.0, max_modes=5, center=center)
+        assert data.tobytes() == kept.tobytes()
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("center", [False, True])
+    def test_overwrite_gives_the_default_basis_bit_for_bit(self, center, order):
+        data = np.asarray(np.random.default_rng(14).standard_normal((40, 15)) + 2.0,
+                          order=order)
+        default = pod_fit(data.copy(order="K"), energy=0.999, max_modes=6, center=center)
+        owned = pod_fit(data, energy=0.999, max_modes=6, center=center, overwrite=True)
+        for got, want in ((owned.V, default.V), (owned.singular_values,
+                          default.singular_values), (owned.offset, default.offset)):
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
 class TestGalerkinROM:
     def test_basis_rows_must_match_system_dimension(self, diagonal_decay):
         basis = ReducedBasis(random_orthonormal(5, 2), np.zeros(5), np.ones(2))

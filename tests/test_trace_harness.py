@@ -23,3 +23,27 @@ def test_spans_install_wraps_every_named_attribute():
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           timeout=120)
     assert done.returncode == 0, done.stderr
+
+
+def test_a_convdiff_block_is_one_traced_velocity_call():
+    """A block call evaluates its columns in chunks, yet counts once in
+    `problems.velocity_calls`, as it did before the chunks."""
+    code = (
+        "import sys\n"
+        f"sys.path[:0] = [{str(ROOT / 'bench')!r}, {str(ROOT / 'src')!r}]\n"
+        "import numpy as np\n"
+        "import spans\n"
+        "tracer = spans.Tracer()\n"
+        "spans.install(tracer)\n"
+        "from nirom.problems import ConvDiff2D, VELOCITY_CHUNK\n"
+        "assert 100 > VELOCITY_CHUNK\n"
+        "system = ConvDiff2D()\n"
+        "X = np.random.default_rng(0).normal(size=(system.dim, 100))\n"
+        "system.velocity(X, 0.0, [9.5, 9.5])\n"
+        "names = [tracer.names[i] for i in tracer.name_id]\n"
+        "print(names.count('problem.velocity'), len(names))\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["1", "1"]
