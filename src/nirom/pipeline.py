@@ -268,12 +268,20 @@ class Artifacts:
 
     def record_failures(self, failures: dict) -> None:
         """Make `failures` ({tag: reason}) the manifest's only status_<tag>
-        lines; a manifest that already says so is left as it is."""
-        current = self.manifest()
-        updated = {k: v for k, v in current.items() if not k.startswith("status_")}
-        updated.update({f"status_{tag}": reason for tag, reason in failures.items()})
-        if updated != current:
-            io.write_keyvalues(self.root / "reports" / "manifest.txt", updated)
+        lines and drop the extrapolation fraction and wall time an earlier
+        run recorded for a failed tag; a file that already says so is left
+        as it is."""
+        stale = {f"{key}_{tag}" for tag in failures for key in ("extrapolation_fraction", "wall")}
+        status = {f"status_{tag}": reason for tag, reason in failures.items()}
+        for name, updates in (("manifest.txt", status), ("timings.txt", {})):
+            p = self.root / "reports" / name
+            current = io.read_keyvalues(p) if p.exists() else {}
+            updated = {
+                k: v for k, v in current.items() if k not in stale and not k.startswith("status_")
+            }
+            updated.update(updates)
+            if updated != current:
+                io.write_keyvalues(p, updated)
 
     def record_timing(self, **updates) -> None:
         self.update_keyvalues("timings.txt", updates)
@@ -541,8 +549,8 @@ def stage_rom_solve(cfg: ExperimentConfig, art: Artifacts) -> None:
     failures = {}
     for tag, model, result in results:
         if isinstance(result, Exception):
-            text = " ".join(str(result).split())
-            failures[tag] = f"step {result.step}: {type(result).__name__}: {text}"
+            # the message names the step
+            failures[tag] = f"{type(result).__name__}: {' '.join(str(result).split())}"
             # no trajectory of an earlier run may stand in for this one
             for suffix in ("txt", "meta"):
                 art.path("trajectories", f"{tag}.{suffix}").unlink(missing_ok=True)

@@ -18,10 +18,6 @@ import scipy.sparse as sp
 
 from .core import DynamicalSystem, ParameterDomain, require_finite
 
-# Columns of a ConvDiff2D block evaluated together, so that the temporaries
-# of one chunk stay in cache.
-VELOCITY_CHUNK = 32
-
 
 class Burgers1D(DynamicalSystem):
     """Upwind finite-volume Burgers' flow with source 0.02*exp(b*x).
@@ -78,8 +74,7 @@ class ConvDiff2D(DynamicalSystem):
 
     at interior nodes, zero at the Dirichlet frame. mu0 = 0.01 is fixed,
     (mu1, mu2) vary on [9, 10]^2. Grid spacing h = 1/50; state index
-    k = i*51 + j holds u(x_i, y_j). A block of states is evaluated
-    VELOCITY_CHUNK columns at a time and comes back column-major.
+    k = i*51 + j holds u(x_i, y_j).
     """
 
     name = "convdiff"
@@ -118,40 +113,32 @@ class ConvDiff2D(DynamicalSystem):
     def velocity(self, x, t, mu) -> np.ndarray:
         mu1, mu2 = self.domain.check(mu)
         x = require_finite(np.asarray(x, dtype=float), "state")
-        u = x.reshape(self.dim, -1)
-        out = np.empty(u.shape, order="F")  # each state one contiguous column
-        with np.errstate(over="ignore", invalid="ignore"):
-            for start in range(0, u.shape[1], VELOCITY_CHUNK):
-                cols = slice(start, start + VELOCITY_CHUNK)
-                self._velocity_rows(np.asfortranarray(u[:, cols]), out[:, cols], mu1, mu2)
-        return out.reshape(x.shape)
-
-    def _velocity_rows(self, u, out, mu1, mu2) -> None:
-        """Write the velocity of the states in the columns of `u` into `out`.
-
-        Rows are flat node indices k = i*n + j, so the four neighbours of the
-        interior span are the row ranges k+n, k-n, k+1 and k-1. The span also
-        covers the frame nodes j = 0 and j = n-1 between its ends; every
-        frame row is zeroed afterwards.
-        """
+        # Rows are flat node indices k = i*n + j, so the four neighbours of
+        # the interior span are the row ranges k+n, k-n, k+1 and k-1. The
+        # span also covers the frame nodes j = 0 and j = n-1 between its
+        # ends; every frame row is zeroed afterwards.
         n = self.n_side
         lo, hi = n + 1, self.dim - n - 1
+        u = x.reshape(self.dim, -1)
+        out = np.empty_like(u)
         centre = u[lo:hi]
         lap = out[lo:hi]
-        np.add(u[lo + n:hi + n], u[lo - n:hi - n], out=lap)
-        lap += u[lo + 1:hi + 1]
-        lap += u[lo - 1:hi - 1]
-        reaction = 4.0 * centre
-        lap -= reaction
-        lap /= self.h**2
-        lap *= self.mu0
-        np.multiply(mu2, centre, out=reaction)
-        np.exp(reaction, out=reaction)
-        reaction -= 1.0
-        reaction *= self.mu0 * mu1 / mu2
-        lap -= reaction
-        lap += self.forcing.reshape(-1, 1)[lo:hi]
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.add(u[lo + n:hi + n], u[lo - n:hi - n], out=lap)
+            lap += u[lo + 1:hi + 1]
+            lap += u[lo - 1:hi - 1]
+            reaction = 4.0 * centre
+            lap -= reaction
+            lap /= self.h**2
+            lap *= self.mu0
+            np.multiply(mu2, centre, out=reaction)
+            np.exp(reaction, out=reaction)
+            reaction -= 1.0
+            reaction *= self.mu0 * mu1 / mu2
+            lap -= reaction
+            lap += self.forcing.reshape(-1, 1)[lo:hi]
         out[self._frame] = 0.0
+        return out.reshape(x.shape)
 
     def jacobian(self, x, t, mu) -> sp.csr_matrix:
         mu1, mu2 = self.domain.check(mu)

@@ -13,7 +13,7 @@ from nirom import cli, problems
 from nirom.cli import main
 from nirom.core import StageError, TimeGrid
 from nirom.integration import TrajectoryResult
-from nirom.io import read_csv, read_keyvalues, read_matrix
+from nirom.io import read_csv, read_keyvalues, read_matrix, write_keyvalues
 from nirom.pipeline import (
     Artifacts,
     ExperimentConfig,
@@ -493,11 +493,21 @@ class TestFullPipeline:
         """With backward Euler added, kNN's fixed-point solve stalls (its
         velocity is piecewise constant): every other trajectory is still
         saved, the manifest gets one status line with the error and its step,
-        and the stage raises one StageError that names the failed solve. A
-        rerun without the failing solve drops the status line."""
+        and the stage raises one StageError that names the failed solve.
+        What an earlier run left for the failed tag is dropped. A rerun
+        without the failing solve drops the status line."""
         _, out, cfg = tiny_run
         twin = tmp_path / "twin"
         shutil.copytree(out, twin)
+        for ext in ("txt", "meta"):
+            shutil.copy(twin / "trajectories" / f"knn_rk4.{ext}",
+                        twin / "trajectories" / f"knn_backward_euler.{ext}")
+        write_keyvalues(twin / "reports" / "manifest.txt",
+                        dict(read_keyvalues(twin / "reports" / "manifest.txt"),
+                             extrapolation_fraction_knn_backward_euler="0.5"))
+        write_keyvalues(twin / "reports" / "timings.txt",
+                        dict(read_keyvalues(twin / "reports" / "timings.txt"),
+                             wall_knn_backward_euler="1.0"))
         both = dataclasses.replace(cfg, out_dir=twin, schemes=("rk4", "backward_euler"),
                                    solve_workers=workers)
         with pytest.raises(StageError, match=r"1 of 6 solves failed \(knn_backward_euler\)"):
@@ -508,9 +518,13 @@ class TestFullPipeline:
         manifest = read_keyvalues(twin / "reports" / "manifest.txt")
         status = [k for k in manifest if k.startswith("status_")]
         assert status == ["status_knn_backward_euler"]
-        assert re.fullmatch(r"step (\d+): ConvergenceError: step \1: fixed point stalled, "
-                            r"residual \S+", manifest[status[0]])
+        assert re.fullmatch(r"ConvergenceError: step \d+: fixed point stalled, residual \S+",
+                            manifest[status[0]])
         assert "extrapolation_fraction_sindy_backward_euler" in manifest
+        assert "extrapolation_fraction_knn_backward_euler" not in manifest
+        timings = read_keyvalues(twin / "reports" / "timings.txt")
+        assert "wall_sindy_backward_euler" in timings
+        assert "wall_knn_backward_euler" not in timings
 
         run_stage(dataclasses.replace(cfg, out_dir=twin), "rom-solve")
         manifest = read_keyvalues(twin / "reports" / "manifest.txt")

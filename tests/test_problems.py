@@ -119,8 +119,8 @@ class TestConvDiff:
 
     @pytest.mark.parametrize("n_side", [11, 51])
     def test_velocity_is_the_grid_stencil_bit_for_bit(self, n_side):
-        """The flat-row velocity of a block that spans chunks, on the default
-        grid and on a subclass's coarser one, against the five-point stencil
+        """The flat-row velocity of a block, on the default grid and on a
+        subclass's coarser one, against the five-point stencil
         written on the (n, n) grid, with the same operations in the same
         order."""
 
